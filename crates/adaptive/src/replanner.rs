@@ -4,12 +4,13 @@
 
 use crate::engine::{ReplanCosts, ReplanVerdict, Replanner, SwapCost};
 use cep_core::compile::CompiledPattern;
-use cep_core::compiled::{shared_plan_cache, SharedPlanCache};
-use cep_core::engine::{Engine, EngineConfig, MultiEngine};
+use cep_core::compiled::{fetch_program, shared_plan_cache, SharedPlanCache};
+use cep_core::engine::{Engine, EngineConfig};
 use cep_core::error::CepError;
 use cep_core::event::EventRef;
 use cep_core::matches::Match;
 use cep_core::plan::{OrderPlan, TreePlan};
+use cep_core::registry::QueryRegistry;
 use cep_core::stats::{MeasuredStats, PatternStats};
 use cep_nfa::NfaEngine;
 use cep_optimizer::planner::LatencyAnchor;
@@ -70,7 +71,8 @@ struct Branch {
 /// [`Planner`] whenever the adaptive loop hands it fresh rate estimates.
 ///
 /// One instance covers every DNF branch of a pattern (multi-branch builds
-/// produce a [`MultiEngine`], exactly like the facade's static factories).
+/// produce a registry of one, [`QueryRegistry::of_query`], exactly like
+/// the facade's static factories).
 /// Per-predicate selectivities are supplied at construction; with
 /// [`with_selectivity_monitoring`](Self::with_selectivity_monitoring) they
 /// are additionally **re-estimated online** from sampled event pairs over
@@ -283,24 +285,19 @@ impl Replanner for PlanReplanner {
         // Plans were produced by the planner for these very compiled
         // patterns, so engine construction cannot fail (the same argument
         // as the facade's static factories).
-        let mut engines: Vec<Box<dyn Engine>> = self
+        let mut engines: Vec<(CompiledPattern, Box<dyn Engine>)> = self
             .branches
             .iter()
             .map(|b| {
                 // Signature-keyed program reuse: across hot swaps the
                 // pattern (and so its signature) is unchanged, so every
                 // rebuild after the first is a cache hit.
-                let program = if self.engine_config.compiled_predicates {
-                    Some(
-                        self.plan_cache
-                            .lock()
-                            .expect("plan cache poisoned")
-                            .get_or_compile(&b.cp),
-                    )
-                } else {
-                    None
-                };
-                match &b.plan {
+                let (program, _, _) = fetch_program(
+                    &self.plan_cache,
+                    &b.cp,
+                    self.engine_config.compiled_predicates,
+                );
+                let engine = match &b.plan {
                     CurrentPlan::Order(plan) => Box::new(
                         NfaEngine::with_program(
                             b.cp.clone(),
@@ -319,13 +316,14 @@ impl Replanner for PlanReplanner {
                         )
                         .expect("pre-validated plan"),
                     ) as Box<dyn Engine>,
-                }
+                };
+                (b.cp.clone(), engine)
             })
             .collect();
         if engines.len() == 1 {
-            engines.pop().expect("one engine")
+            engines.pop().expect("one engine").1
         } else {
-            Box::new(MultiEngine::new(engines, self.window))
+            Box::new(QueryRegistry::of_query(engines, self.window).expect("at least one branch"))
         }
     }
 

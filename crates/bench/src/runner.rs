@@ -2,10 +2,11 @@
 
 use crate::env::ExperimentEnv;
 use cep_core::compile::CompiledPattern;
-use cep_core::engine::{run_to_completion, Engine, EngineConfig, MultiEngine};
+use cep_core::engine::{run_to_completion, Engine, EngineConfig};
 use cep_core::error::CepError;
 use cep_core::pattern::Pattern;
 use cep_core::plan::{OrderPlan, TreePlan};
+use cep_core::registry::QueryRegistry;
 use cep_core::stats::PatternStats;
 use cep_nfa::NfaEngine;
 use cep_optimizer::{OrderAlgorithm, Planner, PlannerConfig, TreeAlgorithm};
@@ -119,21 +120,21 @@ pub fn execute(
     env: &ExperimentEnv,
     cfg: &EngineConfig,
 ) -> Result<RunOutcome, CepError> {
-    let mut engines: Vec<Box<dyn Engine>> = Vec::with_capacity(planned.branches.len());
+    let mut engines: Vec<(CompiledPattern, Box<dyn Engine>)> =
+        Vec::with_capacity(planned.branches.len());
     for (cp, _, plan) in &planned.branches {
         let e: Box<dyn Engine> = match plan {
             BranchPlan::Order(p) => Box::new(NfaEngine::new(cp.clone(), p.clone(), cfg.clone())?),
             BranchPlan::Tree(p) => Box::new(TreeEngine::new(cp.clone(), p.clone(), cfg.clone())?),
         };
-        engines.push(e);
+        engines.push((cp.clone(), e));
     }
-    let result = if engines.len() == 1 {
-        let mut engine = engines.pop().expect("one engine");
-        run_to_completion(engine.as_mut(), env.stream(), false)
+    let mut engine: Box<dyn Engine> = if engines.len() == 1 {
+        engines.pop().expect("one engine").1
     } else {
-        let mut multi = MultiEngine::new(engines, planned.window);
-        run_to_completion(&mut multi, env.stream(), false)
+        Box::new(QueryRegistry::of_query(engines, planned.window)?)
     };
+    let result = run_to_completion(engine.as_mut(), env.stream(), false);
     Ok(RunOutcome {
         throughput_eps: result.metrics.throughput_eps(),
         peak_memory_bytes: result.metrics.peak_memory_bytes,

@@ -1,6 +1,6 @@
 //! Per-type sliding-window event buffers shared by the engines.
 
-use crate::event::{EventRef, Timestamp, TypeId};
+use crate::event::{window_expired, EventRef, Timestamp, TypeId};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 
@@ -33,7 +33,7 @@ impl TypeBuffers {
     pub fn prune(&mut self, watermark: Timestamp, window: u64) {
         for buf in self.buffers.values_mut() {
             while let Some(front) = buf.front() {
-                if front.ts + window < watermark {
+                if window_expired(front.ts, window, watermark) {
                     buf.pop_front();
                     self.total -= 1;
                 } else {

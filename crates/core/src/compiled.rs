@@ -710,6 +710,24 @@ pub fn shared_plan_cache(cap: usize) -> SharedPlanCache {
     Arc::new(Mutex::new(PlanCache::new(cap)))
 }
 
+/// The lowered program for `cp` from `cache` when `compiled` predicates
+/// are on (`None` otherwise), plus the lookup's hit/miss delta — to be
+/// stamped onto the fresh engine's metrics, so cache effectiveness
+/// surfaces through the normal metrics pipeline.
+pub fn fetch_program(
+    cache: &SharedPlanCache,
+    cp: &CompiledPattern,
+    compiled: bool,
+) -> (Option<Arc<PredicateProgram>>, u64, u64) {
+    if !compiled {
+        return (None, 0, 0);
+    }
+    let mut cache = cache.lock().expect("plan cache poisoned");
+    let (h0, m0) = (cache.hits(), cache.misses());
+    let program = cache.get_or_compile(cp);
+    (Some(program), cache.hits() - h0, cache.misses() - m0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,7 +4,6 @@ use crate::matches::Match;
 use crate::metrics::EngineMetrics;
 use crate::stream::EventStream;
 use cep_obs::{TraceRecord, Tracer};
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// Runtime knobs common to all engines.
@@ -180,107 +179,6 @@ pub fn run_traced(
     }
 }
 
-/// Evaluates several engines (one per DNF branch of a nested pattern) as a
-/// unit, returning the union of their matches (Section 5.4).
-///
-/// Duplicate matches — possible when branches overlap — are suppressed via
-/// match signatures, remembered for one window length.
-pub struct MultiEngine {
-    engines: Vec<Box<dyn Engine>>,
-    window: u64,
-    seen: HashMap<Vec<(usize, Vec<u64>)>, u64>,
-    metrics: EngineMetrics,
-    name: &'static str,
-}
-
-impl MultiEngine {
-    /// Wraps a set of branch engines sharing one pattern window.
-    pub fn new(engines: Vec<Box<dyn Engine>>, window: u64) -> MultiEngine {
-        assert!(!engines.is_empty(), "MultiEngine needs >= 1 branch engine");
-        MultiEngine {
-            engines,
-            window,
-            seen: HashMap::new(),
-            metrics: EngineMetrics::new(),
-            name: "multi",
-        }
-    }
-
-    /// Number of branch engines.
-    pub fn branches(&self) -> usize {
-        self.engines.len()
-    }
-
-    fn dedup(&mut self, staged: Vec<Match>, out: &mut Vec<Match>) {
-        for m in staged {
-            let sig = m.signature();
-            let ts = m.max_ts();
-            if self.seen.insert(sig, ts).is_none() {
-                out.push(m);
-            }
-        }
-    }
-
-    fn refresh_metrics(&mut self) {
-        let mut agg = EngineMetrics::new();
-        agg.events_processed = self.metrics.events_processed;
-        agg.wall_time_ns = self.metrics.wall_time_ns;
-        // The harness records latency/event-time histograms on *our*
-        // metrics, not the branch engines' — carry them over.
-        agg.event_ns = self.metrics.event_ns.clone();
-        agg.match_latency_ns = self.metrics.match_latency_ns.clone();
-        agg.replay_ns = self.metrics.replay_ns.clone();
-        for e in &self.engines {
-            agg.absorb(e.metrics());
-        }
-        // Deduplication may have dropped some emissions: count our own.
-        agg.matches_emitted = self.metrics.matches_emitted;
-        self.metrics = agg;
-    }
-}
-
-impl Engine for MultiEngine {
-    fn process(&mut self, event: &crate::event::EventRef, out: &mut Vec<Match>) {
-        self.metrics.events_processed += 1;
-        let mut staged = Vec::new();
-        for e in &mut self.engines {
-            e.process(event, &mut staged);
-        }
-        let before = out.len();
-        self.dedup(staged, out);
-        self.metrics.matches_emitted += (out.len() - before) as u64;
-        // Forget signatures that can no longer recur (outside the window).
-        if self.metrics.events_processed.is_multiple_of(256) {
-            let horizon = event.ts.saturating_sub(self.window);
-            self.seen.retain(|_, &mut ts| ts >= horizon);
-        }
-        self.refresh_metrics();
-    }
-
-    fn flush(&mut self, out: &mut Vec<Match>) {
-        let mut staged = Vec::new();
-        for e in &mut self.engines {
-            e.flush(&mut staged);
-        }
-        let before = out.len();
-        self.dedup(staged, out);
-        self.metrics.matches_emitted += (out.len() - before) as u64;
-        self.refresh_metrics();
-    }
-
-    fn metrics(&self) -> &EngineMetrics {
-        &self.metrics
-    }
-
-    fn metrics_mut(&mut self) -> &mut EngineMetrics {
-        &mut self.metrics
-    }
-
-    fn name(&self) -> &'static str {
-        self.name
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,31 +261,5 @@ mod tests {
         a.process(&ev(0, 1), &mut out);
         assert_eq!(a.metrics().events_processed, 1);
         assert_eq!(b.metrics().events_processed, 0, "engines are independent");
-    }
-
-    #[test]
-    fn multi_engine_dedups_identical_matches() {
-        // Two branches emitting the same signature: only one survives.
-        let me = MultiEngine::new(
-            vec![Box::new(StubEngine::new(7)), Box::new(StubEngine::new(7))],
-            10,
-        );
-        let mut me = me;
-        let mut out = Vec::new();
-        me.process(&ev(0, 1), &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(me.branches(), 2);
-    }
-
-    #[test]
-    fn multi_engine_unions_distinct_matches() {
-        let mut me = MultiEngine::new(
-            vec![Box::new(StubEngine::new(1)), Box::new(StubEngine::new(2))],
-            10,
-        );
-        let mut out = Vec::new();
-        me.process(&ev(0, 1), &mut out);
-        assert_eq!(out.len(), 2);
-        assert_eq!(me.metrics().matches_emitted, 2);
     }
 }

@@ -11,6 +11,14 @@ pub struct TypeId(pub u32);
 /// Logical occurrence timestamp, in milliseconds.
 pub type Timestamp = u64;
 
+/// The one window-expiry rule: state stamped `ts` can no longer take part
+/// in a match once `ts + window < watermark`. The sum saturates, so a
+/// window of `u64::MAX` never expires anything instead of overflowing.
+#[inline]
+pub fn window_expired(ts: Timestamp, window: u64, watermark: Timestamp) -> bool {
+    ts.saturating_add(window) < watermark
+}
+
 /// A primitive event: one data item of the input stream.
 ///
 /// Besides the schema-declared attribute tuple, every event carries:

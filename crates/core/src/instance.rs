@@ -3,7 +3,7 @@
 
 use crate::compile::CompiledPattern;
 use crate::compiled::PredicateProgram;
-use crate::event::{EventRef, Timestamp};
+use crate::event::{window_expired, EventRef, Timestamp};
 use crate::matches::Binding;
 use crate::metrics::EngineMetrics;
 use crate::selection::SelectionStrategy;
@@ -126,7 +126,7 @@ impl Instance {
     /// Whether the instance has expired: nothing arriving at or after the
     /// watermark can complete it inside the window.
     pub fn expired(&self, watermark: Timestamp, window: u64) -> bool {
-        self.event_count > 0 && self.min_ts + window < watermark
+        self.event_count > 0 && window_expired(self.min_ts, window, watermark)
     }
 }
 

@@ -424,11 +424,14 @@ mod tests {
         let p = b.or_exprs([e1, e2]).unwrap();
         let cps = CompiledPattern::compile(&p).unwrap();
         assert_eq!(cps.len(), 2);
-        let engines: Vec<Box<dyn Engine>> = cps
+        let branches: Vec<(CompiledPattern, Box<dyn Engine>)> = cps
             .into_iter()
-            .map(|cp| Box::new(NaiveEngine::new(cp, EngineConfig::default())) as Box<dyn Engine>)
+            .map(|cp| {
+                let e = Box::new(NaiveEngine::new(cp.clone(), EngineConfig::default()));
+                (cp, e as Box<dyn Engine>)
+            })
             .collect();
-        let mut me = crate::engine::MultiEngine::new(engines, 10);
+        let mut me = crate::registry::QueryRegistry::of_query(branches, 10).unwrap();
         let mut sb = StreamBuilder::new();
         sb.push(ev(0, 1, 0));
         sb.push(ev(1, 2, 0));

@@ -34,7 +34,7 @@ pub fn forbidden_interval(cp: &CompiledPattern, k: usize, m: &Match) -> (Timesta
             .expect("non-empty before")
     };
     let hi = if ne.after.is_empty() {
-        m.min_ts() + cp.window
+        m.min_ts().saturating_add(cp.window)
     } else {
         ne.after
             .iter()

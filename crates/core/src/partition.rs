@@ -40,8 +40,9 @@
 //!   match).
 //!
 //! Matches containing no partitioned event are detected by *every* shard;
-//! the sharded merge deduplicates them by signature (exactly like
-//! [`crate::engine::MultiEngine`] deduplicates across DNF branches).
+//! the sharded merge deduplicates them by signature (as the
+//! [`QueryRegistry`](crate::registry::QueryRegistry) deduplicates across
+//! a query's DNF branches).
 
 use crate::compile::CompiledPattern;
 use crate::error::CepError;

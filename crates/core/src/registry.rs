@@ -14,20 +14,24 @@
 //!
 //! Correctness contract: for every registered query, the registry's
 //! tagged output is **byte-identical** — `(signature, emitted_at)` pairs
-//! — to what an independent engine built from the same fragments would
-//! emit. Two mechanisms preserve it:
+//! — to the union of what independent engines over the query's DNF
+//! branches emit, keeping each signature's earliest emission. Two
+//! mechanisms preserve it:
 //!
 //! * **Type routing.** An event is only offered to fragments whose
 //!   pattern uses its type, *except* fragments with negated elements:
 //!   deferred (trailing-negation) emission stamps `emitted_at` with the
 //!   engine's watermark, which advances on every processed event, so
 //!   those fragments receive the full stream.
-//! * **Per-query fan-out dedup.** A query with multiple branches
-//!   deduplicates fanned-out matches exactly like
-//!   [`crate::engine::MultiEngine`] (first branch in branch order wins,
-//!   signature memory pruned on the same 256-event cadence), so a
-//!   multi-branch query's output is identical to a `MultiEngine` over
-//!   independently built branch engines.
+//! * **Per-query fan-out dedup.** A query with multiple branches keeps
+//!   the first sighting of each match signature (branch order breaks
+//!   ties within one event) and forgets signatures once they fall out of
+//!   the query's window ([`window_expired`], checked every 256 events).
+//!
+//! The registry is the one place that unions a pattern's branches (the
+//! paper's Section 5.4 evaluation of nested patterns): a disjunctive
+//! pattern built through the facade runs as a *registry of one*
+//! ([`QueryRegistry::of_query`]), which implements [`Engine`].
 //!
 //! Set-level planning: fragments are deduplicated by signature before
 //! any engine is built (shared fragments are planned once), lowered
@@ -39,14 +43,15 @@
 //! align evaluation orders across fragments that share a prefix.
 
 use crate::compile::CompiledPattern;
-use crate::compiled::{shared_plan_cache, PredicateProgram, SharedPlanCache};
+use crate::compiled::{fetch_program, shared_plan_cache, PredicateProgram, SharedPlanCache};
 use crate::engine::{Engine, EngineConfig};
 use crate::error::CepError;
-use crate::event::EventRef;
+use crate::event::{window_expired, EventRef, Timestamp};
 use crate::matches::Match;
 use crate::metrics::EngineMetrics;
 use crate::pattern::Pattern;
 use cep_obs::{TraceRecord, Tracer};
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
@@ -120,7 +125,7 @@ struct Fragment {
 }
 
 /// One registered query: its branch subscriptions in branch order plus
-/// the `MultiEngine`-mirroring dedup state for multi-branch queries.
+/// the cross-branch dedup state for multi-branch queries.
 struct QueryEntry {
     /// Fragment slot per DNF branch, in the pattern's branch order
     /// (duplicates allowed: identical branches subscribe twice).
@@ -156,6 +161,28 @@ pub struct QueryRegistry {
     /// Final metrics of torn-down fragments (live-state gauges zeroed),
     /// so the aggregate view stays monotone across unregistrations.
     retired: EngineMetrics,
+    /// The [`Engine::metrics`] view, computed on first read after any
+    /// change rather than on every event.
+    view: OnceCell<EngineMetrics>,
+}
+
+/// The fragment builder of a registry assembled from prebuilt engines
+/// ([`QueryRegistry::of_query`]): there is no backend to build further
+/// fragments with.
+struct Prebuilt;
+
+impl FragmentBuilder for Prebuilt {
+    fn build_fragment(
+        &self,
+        _cp: &CompiledPattern,
+        _program: Option<Arc<PredicateProgram>>,
+    ) -> Result<Box<dyn Engine>, CepError> {
+        Err(CepError::Plan(
+            "this registry was assembled from prebuilt engines and cannot build \
+             fragments for further queries"
+                .into(),
+        ))
+    }
 }
 
 impl QueryRegistry {
@@ -185,7 +212,31 @@ impl QueryRegistry {
             next_id: 0,
             own: EngineMetrics::new(),
             retired: EngineMetrics::new(),
+            view: OnceCell::new(),
         }
+    }
+
+    /// A registry of one: the query whose DNF branches are `branches`,
+    /// each paired with its already-built engine, registered as
+    /// `QueryId(0)` under `window`. Its [`Engine`] output is that query's
+    /// matches — the union of the branches' — which is how a disjunctive
+    /// pattern runs as one engine. Branches with identical signatures
+    /// share one fragment (the surplus engines are dropped). The registry
+    /// has no fragment builder, so registering further queries fails.
+    ///
+    /// # Errors
+    /// [`CepError::Pattern`] when `branches` is empty.
+    pub fn of_query(
+        branches: Vec<(CompiledPattern, Box<dyn Engine>)>,
+        window: u64,
+    ) -> Result<QueryRegistry, CepError> {
+        let (cps, engines): (Vec<_>, Vec<_>) = branches.into_iter().unzip();
+        let mut engines: Vec<Option<Box<dyn Engine>>> = engines.into_iter().map(Some).collect();
+        let mut registry = QueryRegistry::new(Arc::new(Prebuilt), EngineConfig::default());
+        registry.register_with(cps, window, |_, i, _| {
+            Ok(engines[i].take().expect("one engine per branch"))
+        })?;
+        Ok(registry)
     }
 
     /// Routes registration/unregistration trace records to `tracer`.
@@ -210,11 +261,34 @@ impl QueryRegistry {
         branches: Vec<CompiledPattern>,
         window: u64,
     ) -> Result<QueryId, CepError> {
+        self.register_with(branches, window, |registry, _, cp| {
+            let (program, hits, misses) = fetch_program(
+                &registry.plan_cache,
+                cp,
+                registry.config.compiled_predicates,
+            );
+            let mut engine = registry.builder.build_fragment(cp, program)?;
+            engine.metrics_mut().plan_cache_hits = hits;
+            engine.metrics_mut().plan_cache_misses = misses;
+            Ok(engine)
+        })
+    }
+
+    /// Registration with a pluggable engine source: `build(self, i, cp)`
+    /// supplies the engine for branch `i` when no live fragment already
+    /// evaluates its signature.
+    fn register_with(
+        &mut self,
+        branches: Vec<CompiledPattern>,
+        window: u64,
+        mut build: impl FnMut(&Self, usize, &CompiledPattern) -> Result<Box<dyn Engine>, CepError>,
+    ) -> Result<QueryId, CepError> {
         if branches.is_empty() {
             return Err(CepError::Pattern(
                 "cannot register a query with no DNF branches".into(),
             ));
         }
+        self.view.take();
         // Phase 1 (fallible, no state changes): resolve each branch to an
         // existing slot or a freshly built engine. Duplicate branches
         // *within* this registration must also share one engine.
@@ -226,7 +300,7 @@ impl QueryRegistry {
         let mut new_sigs: HashMap<u64, usize> = HashMap::new();
         let mut resolved = Vec::with_capacity(branches.len());
         let mut shared = 0u64;
-        for cp in &branches {
+        for (i, cp) in branches.iter().enumerate() {
             let sig = cp.signature();
             if let Some(&slot) = self.by_sig.get(&sig) {
                 resolved.push(Resolved::Existing(slot));
@@ -235,12 +309,7 @@ impl QueryRegistry {
                 resolved.push(Resolved::New(bi));
                 shared += 1;
             } else {
-                let (program, hits, misses) = self.fetch_program(cp);
-                let mut engine = self.builder.build_fragment(cp, program)?;
-                // Surface cache effectiveness through the normal metrics
-                // pipeline, exactly as the facade factories do.
-                engine.metrics_mut().plan_cache_hits = hits;
-                engine.metrics_mut().plan_cache_misses = misses;
+                let engine = build(self, i, cp)?;
                 new_sigs.insert(sig, built.len());
                 resolved.push(Resolved::New(built.len()));
                 built.push((cp.clone(), engine));
@@ -319,6 +388,7 @@ impl QueryRegistry {
         let Some(entry) = self.queries.remove(&id) else {
             return false;
         };
+        self.view.take();
         let mut retired = 0u64;
         for slot in entry.fragments {
             let frag = self.slots[slot].as_mut().expect("subscribed slot is live");
@@ -350,6 +420,20 @@ impl QueryRegistry {
     /// [module docs](self)) and fans freshly detected matches out to the
     /// subscribed queries, tagged with their [`QueryId`].
     pub fn process(&mut self, event: &EventRef, out: &mut Vec<(QueryId, Match)>) {
+        self.offer(event);
+        self.fan_out(Some(event.ts), |id, m| out.push((id, m)));
+    }
+
+    /// Flushes every fragment (releasing deferred trailing-negation
+    /// matches) and fans the results out like
+    /// [`process`](QueryRegistry::process).
+    pub fn flush(&mut self, out: &mut Vec<(QueryId, Match)>) {
+        self.flush_fragments();
+        self.fan_out(None, |id, m| out.push((id, m)));
+    }
+
+    fn offer(&mut self, event: &EventRef) {
+        self.view.take();
         self.own.events_processed += 1;
         for frag in self.slots.iter_mut().flatten() {
             frag.staged.clear();
@@ -357,62 +441,56 @@ impl QueryRegistry {
                 frag.engine.process(event, &mut frag.staged);
             }
         }
-        for (id, q) in self.queries.iter_mut() {
-            q.events_processed += 1;
-            let before = out.len();
-            if q.fragments.len() == 1 {
-                let frag = self.slots[q.fragments[0]].as_ref().expect("live slot");
-                for m in &frag.staged {
-                    out.push((*id, m.clone()));
-                }
-            } else {
-                // Mirror `MultiEngine`: branch order, first sighting of a
-                // signature wins, memory pruned every 256 events.
-                for &slot in &q.fragments {
-                    let frag = self.slots[slot].as_ref().expect("live slot");
-                    for m in &frag.staged {
-                        if q.seen.insert(m.signature(), m.max_ts()).is_none() {
-                            out.push((*id, m.clone()));
-                        }
-                    }
-                }
-                if q.events_processed.is_multiple_of(256) {
-                    let horizon = event.ts.saturating_sub(q.window);
-                    q.seen.retain(|_, &mut ts| ts >= horizon);
-                }
-            }
-            let emitted = (out.len() - before) as u64;
-            q.matches_emitted += emitted;
-            self.own.fanout_emits += emitted;
-        }
     }
 
-    /// Flushes every fragment (releasing deferred trailing-negation
-    /// matches) and fans the results out like
-    /// [`process`](QueryRegistry::process).
-    pub fn flush(&mut self, out: &mut Vec<(QueryId, Match)>) {
+    fn flush_fragments(&mut self) {
+        self.view.take();
         for frag in self.slots.iter_mut().flatten() {
             frag.staged.clear();
             frag.engine.flush(&mut frag.staged);
         }
-        for (id, q) in self.queries.iter_mut() {
-            let before = out.len();
-            if q.fragments.len() == 1 {
-                let frag = self.slots[q.fragments[0]].as_ref().expect("live slot");
-                for m in &frag.staged {
-                    out.push((*id, m.clone()));
-                }
-            } else {
-                for &slot in &q.fragments {
-                    let frag = self.slots[slot].as_ref().expect("live slot");
+    }
+
+    /// Delivers the fragments' staged matches to every subscribed query,
+    /// in query-id then branch order. A multi-branch query keeps the first
+    /// sighting of each signature; `watermark` is the current event's
+    /// timestamp (`None` at flush), against which signature memory is
+    /// pruned every 256 events. A fragment with a single subscriber hands
+    /// its matches over without cloning.
+    fn fan_out(&mut self, watermark: Option<Timestamp>, mut emit: impl FnMut(QueryId, Match)) {
+        let slots = &mut self.slots;
+        for (&id, q) in self.queries.iter_mut() {
+            let mut emitted = 0u64;
+            let union = q.fragments.len() > 1;
+            for &slot in &q.fragments {
+                let frag = slots[slot].as_mut().expect("live slot");
+                let sole = frag.subscribers == 1;
+                let mut first_sighting =
+                    |m: &Match| !union || q.seen.insert(m.signature(), m.max_ts()).is_none();
+                if sole {
+                    for m in frag.staged.drain(..) {
+                        if first_sighting(&m) {
+                            emit(id, m);
+                            emitted += 1;
+                        }
+                    }
+                } else {
                     for m in &frag.staged {
-                        if q.seen.insert(m.signature(), m.max_ts()).is_none() {
-                            out.push((*id, m.clone()));
+                        if first_sighting(m) {
+                            emit(id, m.clone());
+                            emitted += 1;
                         }
                     }
                 }
             }
-            let emitted = (out.len() - before) as u64;
+            if let Some(ts) = watermark {
+                q.events_processed += 1;
+                if union && q.events_processed.is_multiple_of(256) {
+                    let window = q.window;
+                    q.seen
+                        .retain(|_, &mut seen| !window_expired(seen, window, ts));
+                }
+            }
             q.matches_emitted += emitted;
             self.own.fanout_emits += emitted;
         }
@@ -435,6 +513,7 @@ impl QueryRegistry {
         for (id, m) in out.drain(..) {
             per_query.entry(id).or_default().push(m);
         }
+        self.view.take();
         self.own.wall_time_ns += start.elapsed().as_nanos() as u64;
         RegistryRunResult {
             per_query,
@@ -446,25 +525,24 @@ impl QueryRegistry {
     /// absorbed **once each** (shared work counts once, however many
     /// queries subscribe), plus retired fragments' final counters, with
     /// the registry-owned totals (`events_processed`, `wall_time_ns`,
-    /// `registered_queries`, `shared_fragments`, `fanout_emits`) on top.
+    /// `registered_queries`, `shared_fragments`, `fanout_emits`, and the
+    /// histograms a harness records through [`Engine::metrics_mut`]) on
+    /// top.
     pub fn metrics(&self) -> EngineMetrics {
         let mut agg = self.retired.clone();
         for frag in self.slots.iter().flatten() {
             agg.absorb(frag.engine.metrics());
         }
+        agg.absorb(&self.own);
         agg.events_processed = self.own.events_processed;
         agg.wall_time_ns = self.own.wall_time_ns;
-        agg.registered_queries = self.own.registered_queries;
-        agg.shared_fragments = self.own.shared_fragments;
-        agg.fanout_emits = self.own.fanout_emits;
         agg
     }
 
-    /// One query's metrics view, mirroring what a `MultiEngine` over the
-    /// query's branch engines would report: subscribed fragments'
-    /// counters absorbed (shared work appears in *every* subscriber's
-    /// view), `events_processed` and post-dedup `matches_emitted` the
-    /// query's own. `None` for unknown ids.
+    /// One query's metrics view: subscribed fragments' counters absorbed
+    /// (shared work appears in *every* subscriber's view),
+    /// `events_processed` and post-dedup `matches_emitted` the query's
+    /// own. `None` for unknown ids.
     pub fn query_metrics(&self, id: QueryId) -> Option<EngineMetrics> {
         let q = self.queries.get(&id)?;
         let mut agg = EngineMetrics::new();
@@ -518,6 +596,40 @@ impl QueryRegistry {
     }
 }
 
+/// A registry as one engine: its untagged output is every query's
+/// matches in fan-out order — for a registry of one
+/// ([`QueryRegistry::of_query`]), exactly that query's matches. The
+/// metrics are [`QueryRegistry::metrics`] with `matches_emitted` counting
+/// the delivered (post-dedup) matches.
+impl Engine for QueryRegistry {
+    fn process(&mut self, event: &EventRef, out: &mut Vec<Match>) {
+        self.offer(event);
+        self.fan_out(Some(event.ts), |_, m| out.push(m));
+    }
+
+    fn flush(&mut self, out: &mut Vec<Match>) {
+        self.flush_fragments();
+        self.fan_out(None, |_, m| out.push(m));
+    }
+
+    fn metrics(&self) -> &EngineMetrics {
+        self.view.get_or_init(|| {
+            let mut m = QueryRegistry::metrics(self);
+            m.matches_emitted = self.own.fanout_emits;
+            m
+        })
+    }
+
+    fn metrics_mut(&mut self) -> &mut EngineMetrics {
+        self.view.take();
+        &mut self.own
+    }
+
+    fn name(&self) -> &'static str {
+        "registry"
+    }
+}
+
 /// The outcome of [`QueryRegistry::run`].
 pub struct RegistryRunResult {
     /// Matches per query in emission order (every registered query has
@@ -525,23 +637,6 @@ pub struct RegistryRunResult {
     pub per_query: BTreeMap<QueryId, Vec<Match>>,
     /// The registry-wide metrics snapshot ([`QueryRegistry::metrics`]).
     pub metrics: EngineMetrics,
-}
-
-impl QueryRegistry {
-    /// Fetches the branch's lowered predicate program from the shared
-    /// cache (when compiled predicates are enabled), warming it for
-    /// every later subscriber and sibling registry. Returns the program
-    /// plus the lookup's hit/miss delta, to be stamped onto the fresh
-    /// fragment engine's metrics.
-    fn fetch_program(&self, cp: &CompiledPattern) -> (Option<Arc<PredicateProgram>>, u64, u64) {
-        if !self.config.compiled_predicates {
-            return (None, 0, 0);
-        }
-        let mut cache = self.plan_cache.lock().expect("plan cache poisoned");
-        let (h0, m0) = (cache.hits(), cache.misses());
-        let program = cache.get_or_compile(cp);
-        (Some(program), cache.hits() - h0, cache.misses() - m0)
-    }
 }
 
 /// A serializable-enough description of a query set: compiled branches
@@ -832,8 +927,21 @@ mod tests {
         ks
     }
 
-    /// Registry output per query must be byte-identical to independent
-    /// naive engines over the same branches.
+    /// The union of independent per-branch outputs: each signature once,
+    /// at its smallest `emitted_at`.
+    fn union_of(branch_outputs: Vec<Vec<Match>>) -> Vec<Match> {
+        let mut first: HashMap<Vec<(usize, Vec<u64>)>, Match> = HashMap::new();
+        for m in branch_outputs.into_iter().flatten() {
+            let kept = first.entry(m.signature()).or_insert_with(|| m.clone());
+            if m.emitted_at < kept.emitted_at {
+                *kept = m;
+            }
+        }
+        first.into_values().collect()
+    }
+
+    /// Registry output per query must be byte-identical to the union of
+    /// independent naive engines over the same branches.
     fn assert_registry_matches_independent(patterns: &[Pattern]) {
         let cfg = EngineConfig::default();
         let mut registry = QueryRegistry::new(naive_builder(&cfg), cfg.clone());
@@ -844,24 +952,106 @@ mod tests {
         let stream = mixed_stream();
         let result = registry.run(&stream);
         for (p, id) in patterns.iter().zip(&ids) {
-            let branches = CompiledPattern::compile(p).unwrap();
-            let expected = if branches.len() == 1 {
-                let mut e = NaiveEngine::new(branches[0].clone(), cfg.clone());
-                run_to_completion(&mut e, &stream, true).matches
-            } else {
-                let engines: Vec<Box<dyn Engine>> = branches
+            let expected = union_of(
+                CompiledPattern::compile(p)
+                    .unwrap()
                     .into_iter()
-                    .map(|cp| Box::new(NaiveEngine::new(cp, cfg.clone())) as Box<dyn Engine>)
-                    .collect();
-                let mut multi = crate::engine::MultiEngine::new(engines, p.window);
-                run_to_completion(&mut multi, &stream, true).matches
-            };
+                    .map(|cp| {
+                        let mut e = NaiveEngine::new(cp, cfg.clone());
+                        run_to_completion(&mut e, &stream, true).matches
+                    })
+                    .collect(),
+            );
             assert_eq!(
                 keyed(&result.per_query[id]),
                 keyed(&expected),
-                "query {id} diverged from its independent engine"
+                "query {id} diverged from its independent engines"
             );
         }
+    }
+
+    /// Naive engines for every branch of `p`, paired with their branches.
+    fn prebuilt(p: &Pattern) -> Vec<(CompiledPattern, Box<dyn Engine>)> {
+        CompiledPattern::compile(p)
+            .unwrap()
+            .into_iter()
+            .map(|cp| {
+                let e = Box::new(NaiveEngine::new(cp.clone(), EngineConfig::default()));
+                (cp, e as Box<dyn Engine>)
+            })
+            .collect()
+    }
+
+    /// SEQ(OR(NOT n₁, NOT n₂), a, b) with a.0 < b.0: two branches binding
+    /// the same positive events, so a match surviving both negations is
+    /// emitted by both fragments.
+    fn seq_after_either_absence(window: u64, n: (u32, u32), ta: u32, tb: u32) -> Pattern {
+        let mut b = PatternBuilder::new(window);
+        let n1 = b.event(t(n.0), "n1");
+        let n2 = b.event(t(n.1), "n2");
+        let a = b.event(t(ta), "a");
+        let c = b.event(t(tb), "b");
+        b.predicate(Predicate::attr_cmp(a.pos(), 0, CmpOp::Lt, c.pos(), 0));
+        let either = crate::pattern::PatternExpr::Or(vec![b.not(n1), b.not(n2)]);
+        let exprs = vec![either, b.expr(a), b.expr(c)];
+        b.seq_exprs(exprs).unwrap()
+    }
+
+    #[test]
+    fn registry_of_one_unions_overlapping_branches() {
+        let p = seq_after_either_absence(6, (3, 4), 0, 1);
+        let stream = mixed_stream();
+        let mut one = QueryRegistry::of_query(prebuilt(&p), p.window).unwrap();
+        assert_eq!(one.fragment_count(), 2);
+        let r = run_to_completion(&mut one, &stream, true);
+        let outputs: Vec<Vec<Match>> = prebuilt(&p)
+            .into_iter()
+            .map(|(_, mut e)| run_to_completion(e.as_mut(), &stream, true).matches)
+            .collect();
+        let emitted: usize = outputs.iter().map(Vec::len).sum();
+        let expected = union_of(outputs);
+        assert!(
+            !expected.is_empty() && expected.len() < emitted,
+            "fixture must exercise cross-branch dedup"
+        );
+        assert_eq!(keyed(&r.matches), keyed(&expected));
+        assert_eq!(r.metrics.matches_emitted, r.match_count);
+        assert_eq!(r.metrics.events_processed, stream.len() as u64);
+        assert!(
+            r.metrics.throughput_eps() > 0.0,
+            "harness timing lands in the view"
+        );
+    }
+
+    #[test]
+    fn registry_of_one_shares_identical_branches() {
+        // Two separately compiled but identical branches: one shared
+        // fragment, and every match delivered once.
+        let cp = CompiledPattern::compile_single(&seq_ab(9, 0, 1, true)).unwrap();
+        let naive = |cp: &CompiledPattern| {
+            Box::new(NaiveEngine::new(cp.clone(), EngineConfig::default())) as Box<dyn Engine>
+        };
+        let branches = vec![(cp.clone(), naive(&cp)), (cp.clone(), naive(&cp))];
+        let mut one = QueryRegistry::of_query(branches, 9).unwrap();
+        assert_eq!(one.fragment_count(), 1);
+        let stream = mixed_stream();
+        let r = run_to_completion(&mut one, &stream, true);
+        let expected = run_to_completion(naive(&cp).as_mut(), &stream, true).matches;
+        assert!(!expected.is_empty());
+        assert_eq!(keyed(&r.matches), keyed(&expected));
+        assert_eq!(Engine::metrics(&one).matches_emitted, expected.len() as u64);
+    }
+
+    #[test]
+    fn registry_of_one_rejects_further_queries() {
+        let p = seq_ab(10, 0, 1, true);
+        let mut one = QueryRegistry::of_query(prebuilt(&p), p.window).unwrap();
+        assert!(matches!(
+            one.register(&seq_ab(10, 2, 3, false)),
+            Err(CepError::Plan(_))
+        ));
+        assert_eq!(one.len(), 1);
+        assert!(QueryRegistry::of_query(Vec::new(), 10).is_err());
     }
 
     #[test]
@@ -908,7 +1098,7 @@ mod tests {
     #[test]
     fn overlapping_set_is_byte_identical_per_query() {
         // 8 registrations over 4 distinct patterns, including negation
-        // (deferred emission) and a disjunction (MultiEngine dedup).
+        // (deferred emission) and a disjunction (cross-branch dedup).
         let or_pattern = {
             let mut b2 = PatternBuilder::new(9);
             let a2 = b2.event(t(0), "a");

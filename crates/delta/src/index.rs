@@ -8,7 +8,7 @@
 //! event per indexed attribute, because arrival order is timestamp order —
 //! the expiring event is always at the front of every list it is in.
 
-use cep_core::event::{EventRef, Timestamp, TypeId};
+use cep_core::event::{window_expired, EventRef, Timestamp, TypeId};
 use cep_core::value::Value;
 use std::collections::{HashMap, VecDeque};
 
@@ -120,7 +120,7 @@ impl WindowIndex {
         let mut ops = 0;
         for (&ty, deque) in &mut self.store {
             while let Some(front) = deque.front() {
-                if front.ts + window >= watermark {
+                if !window_expired(front.ts, window, watermark) {
                     break;
                 }
                 let ev = deque.pop_front().expect("checked front");

@@ -373,12 +373,9 @@ impl NfaEngine {
             retain_or_retire(state, &mut self.arena, |i| !i.expired(watermark, window));
         }
         if self.cp.strategy.consumes() {
-            // Consumed serial numbers older than the window can't recur.
-            let horizon = watermark.saturating_sub(window);
-            // Events are seq-ordered by ts only loosely; conservatively keep
-            // everything unless the set grows large.
+            // Consumed serial numbers carry no timestamp to expire them
+            // by; conservatively keep everything unless the set grows large.
             if self.consumed.len() > 100_000 {
-                let _ = horizon;
                 self.consumed.clear();
             }
         }

@@ -264,7 +264,16 @@ impl<'a> Parser<'a> {
         } else {
             1.0
         };
-        Ok((v * multiplier).round() as u64)
+        // `as u64` saturates: reject what does not fit instead of
+        // silently running under a `u64::MAX` window.
+        let ms = (v * multiplier).round();
+        if ms.is_nan() || ms >= u64::MAX as f64 {
+            return Err(self.err(
+                format!("duration {v} does not fit in 64-bit milliseconds"),
+                span,
+            ));
+        }
+        Ok(ms as u64)
     }
 
     fn parse_strategy(&mut self) -> Result<SelectionStrategy, CepError> {
@@ -435,6 +444,28 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("volume"));
+    }
+
+    #[test]
+    fn unrepresentable_duration_rejected() {
+        let cat = catalog();
+        let err = parse_pattern(
+            "PATTERN SEQ(MSFT m, GOOG g) WITHIN 99999999999999999999 h",
+            &cat,
+        )
+        .unwrap_err();
+        match err {
+            CepError::Parse {
+                message, column, ..
+            } => {
+                assert!(message.contains("does not fit"), "{message}");
+                assert_eq!(column, 36, "points at the number");
+            }
+            other => panic!("unexpected: {other:?}"),
+        }
+        // The largest representable windows still parse.
+        let p = parse_pattern("PATTERN SEQ(MSFT m, GOOG g) WITHIN 5000000000 h", &cat).unwrap();
+        assert_eq!(p.window, 5_000_000_000 * 3_600_000);
     }
 
     #[test]

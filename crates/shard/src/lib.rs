@@ -5,8 +5,10 @@
 //! arXiv:2104.07742): a [`ShardRouter`] assigns each input event to one of
 //! `N` worker shards, every worker owns a private engine built from a
 //! shared compiled plan (any [`cep_core::engine::EngineFactory`] — lazy
-//! NFA, ZStream tree, a `MultiEngine` over DNF branches, or the naive
-//! oracle), and per-shard outputs are combined by a deterministic merge.
+//! NFA, ZStream tree, a registry of one over a disjunction's DNF branches,
+//! or the naive oracle — or a whole
+//! [`RegistrySpec`](cep_core::registry::RegistrySpec) of queries), and
+//! per-shard outputs are combined by one deterministic per-query merge.
 //!
 //! ## Semantics and the determinism guarantee
 //!

@@ -3,7 +3,7 @@
 
 use crate::router::{RouteTarget, RoutingPolicy, ShardRouter};
 use cep_core::compile::CompiledPattern;
-use cep_core::engine::EngineFactory;
+use cep_core::engine::{Engine, EngineFactory};
 use cep_core::error::CepError;
 use cep_core::event::EventRef;
 use cep_core::matches::Match;
@@ -174,13 +174,6 @@ pub struct ShardedRuntime {
     tracer: Tracer,
 }
 
-struct ShardOutcome {
-    matches: Vec<Match>,
-    match_count: u64,
-    events_routed: u64,
-    metrics: EngineMetrics,
-}
-
 impl ShardedRuntime {
     /// Runtime with explicit configuration.
     pub fn new(config: ShardConfig) -> ShardedRuntime {
@@ -242,83 +235,16 @@ impl ShardedRuntime {
         policy: RoutingPolicy,
         collect_matches: bool,
     ) -> ShardedRunResult {
-        let shards = self.config.shards;
-        let batch_size = self.config.batch_size;
-        // Replicated-only matches surface on every shard; merging must
-        // dedup them, which requires seeing the matches. A spec with no
-        // replicated types broadcasts nothing and cannot duplicate, so it
-        // keeps the flat-memory count-and-discard path.
-        let dedup = shards > 1
-            && matches!(&policy, RoutingPolicy::ReplicateJoin(spec)
-                if !spec.is_fully_partitioned());
-        let collect_in_workers = collect_matches || dedup;
-        let tracer = &self.tracer;
-        let traced = tracer.is_enabled();
-        // In-flight batches per worker queue, maintained (and read) only
-        // when tracing: the router increments at send, the worker
-        // decrements at receive, so each ShardBatch record carries the
-        // receiver's queue depth at the moment the batch was enqueued.
-        let depths: Vec<AtomicU64> = (0..shards).map(|_| AtomicU64::new(0)).collect();
-        let start = Instant::now();
-        let mut router = ShardRouter::new(shards, policy);
-        let mut txs: Vec<SyncSender<Vec<EventRef>>> = Vec::with_capacity(shards);
-        let mut rxs: Vec<Receiver<Vec<EventRef>>> = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let (tx, rx) = sync_channel(self.config.queue_batches);
-            txs.push(tx);
-            rxs.push(rx);
-        }
-        let mut replicated_extra = 0u64;
-        let outcomes: Vec<ShardOutcome> = std::thread::scope(|s| {
-            let handles: Vec<_> = rxs
-                .into_iter()
-                .enumerate()
-                .map(|(i, rx)| {
-                    let depth = traced.then(|| &depths[i]);
-                    s.spawn(move || worker(factory, rx, collect_in_workers, depth))
-                })
-                .collect();
-            replicated_extra =
-                route_and_feed(tracer, &mut router, stream, txs, &depths, batch_size);
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
-        });
-        let wall = start.elapsed().as_nanos() as u64;
-        let mut metrics = EngineMetrics::new();
-        let mut matches = Vec::new();
-        let mut match_count = 0;
-        let mut per_shard = Vec::with_capacity(shards);
-        for (shard, mut o) in outcomes.into_iter().enumerate() {
-            metrics.merge(&o.metrics);
-            match_count += o.match_count;
-            matches.append(&mut o.matches);
-            per_shard.push(ShardStats {
-                shard,
-                events_routed: o.events_routed,
-                match_count: o.match_count,
-                metrics: o.metrics,
-            });
-        }
-        metrics.wall_time_ns = wall;
-        metrics.replicated_events = replicated_extra;
-        canonical_sort(&mut matches);
-        if dedup {
-            let before = matches.len();
-            let mut seen = HashSet::with_capacity(before);
-            matches.retain(|m| seen.insert(m.signature()));
-            metrics.dedup_hits = (before - matches.len()) as u64;
-            match_count = matches.len() as u64;
-            if !collect_matches {
-                matches.clear();
-            }
-        }
+        let router = ShardRouter::new(self.config.shards, policy);
+        let build = || Ok(Unit::Query(factory.build(), Vec::new()));
+        let mut r = self
+            .execute(router, stream, collect_matches, &build)
+            .expect("engine factories cannot fail");
         ShardedRunResult {
-            matches,
-            match_count,
-            metrics,
-            per_shard,
+            matches: r.per_query.remove(&SINGLE).unwrap_or_default(),
+            match_count: r.match_count,
+            metrics: r.metrics,
+            per_shard: r.per_shard,
         }
     }
 
@@ -336,17 +262,7 @@ impl ShardedRuntime {
         branches: &[CompiledPattern],
         collect_matches: bool,
     ) -> Result<ShardedRunResult, CepError> {
-        ShardRouter::for_query(self.config.shards, policy.clone(), branches)?;
-        // Debug builds additionally lint the branches and (for
-        // replicate-join) the partition spec against them (A010).
-        if cfg!(debug_assertions) {
-            for cp in branches {
-                cep_analyze::verify_pattern_invariants(cp)?;
-            }
-            if let RoutingPolicy::ReplicateJoin(spec) = &policy {
-                cep_analyze::verify_partition_spec(spec, branches)?;
-            }
-        }
+        self.checked_router(policy.clone(), branches)?;
         Ok(self.run(factory, stream, policy, collect_matches))
     }
 
@@ -386,32 +302,69 @@ impl ShardedRuntime {
         policy: RoutingPolicy,
         collect_matches: bool,
     ) -> Result<MultiQueryRunResult, CepError> {
-        let shards = self.config.shards;
-        let batch_size = self.config.batch_size;
         if spec.queries() == 0 {
             return Err(CepError::Routing(
                 "cannot shard an empty registry spec: add at least one query".into(),
             ));
         }
         let branches: Vec<CompiledPattern> = spec.branches().cloned().collect();
-        let mut router = ShardRouter::for_query(shards, policy.clone(), &branches)?;
+        let router = self.checked_router(policy, &branches)?;
+        // Workers instantiate their own registry from the shared spec
+        // (engines are not `Send`, so registries cannot be built here and
+        // moved in).
+        let build = || Ok(Unit::Registry(Box::new(spec.instantiate()?)));
+        self.execute(router, stream, collect_matches, &build)
+    }
+
+    /// The router for `policy`, checked sound for every one of
+    /// `branches` ([`ShardRouter::for_query`]); debug builds also lint
+    /// the branches and a replicate-join partition spec (A010).
+    fn checked_router(
+        &self,
+        policy: RoutingPolicy,
+        branches: &[CompiledPattern],
+    ) -> Result<ShardRouter, CepError> {
+        let router = ShardRouter::for_query(self.config.shards, policy, branches)?;
         if cfg!(debug_assertions) {
-            for cp in &branches {
+            for cp in branches {
                 cep_analyze::verify_pattern_invariants(cp)?;
             }
-            if let RoutingPolicy::ReplicateJoin(pspec) = &policy {
-                cep_analyze::verify_partition_spec(pspec, &branches)?;
+            if let RoutingPolicy::ReplicateJoin(spec) = router.policy() {
+                cep_analyze::verify_partition_spec(spec, branches)?;
             }
         }
-        // Same regime as `run`: replicated-only matches surface on every
-        // shard and must be deduplicated per query, which requires
-        // collecting them worker-side.
+        Ok(router)
+    }
+
+    /// The one sharded execution path: routes `stream` through the
+    /// worker pool (each worker evaluating the [`Unit`] `build` stamps
+    /// out), then merges per query — [`canonical_sort`], then, when
+    /// replicated-only matches can surface on several shards, signature
+    /// dedup keeping the canonically first copy. A `build` failure
+    /// aborts that worker, whose queue simply drains into a closed
+    /// channel, and the error is propagated after join.
+    fn execute(
+        &self,
+        mut router: ShardRouter,
+        stream: &EventStream,
+        collect_matches: bool,
+        build: &(dyn Fn() -> Result<Unit, CepError> + Sync),
+    ) -> Result<MultiQueryRunResult, CepError> {
+        let shards = self.config.shards;
+        // Replicated-only matches surface on every shard; merging must
+        // dedup them, which requires seeing the matches. A spec with no
+        // replicated types broadcasts nothing and cannot duplicate, so it
+        // keeps the flat-memory count-and-discard path.
         let dedup = shards > 1
-            && matches!(&policy, RoutingPolicy::ReplicateJoin(pspec)
-                if !pspec.is_fully_partitioned());
+            && matches!(router.policy(), RoutingPolicy::ReplicateJoin(spec)
+                if !spec.is_fully_partitioned());
         let collect_in_workers = collect_matches || dedup;
         let tracer = &self.tracer;
         let traced = tracer.is_enabled();
+        // In-flight batches per worker queue, maintained (and read) only
+        // when tracing: the router increments at send, the worker
+        // decrements at receive, so each ShardBatch record carries the
+        // receiver's queue depth at the moment the batch was enqueued.
         let depths: Vec<AtomicU64> = (0..shards).map(|_| AtomicU64::new(0)).collect();
         let start = Instant::now();
         let mut txs: Vec<SyncSender<Vec<EventRef>>> = Vec::with_capacity(shards);
@@ -422,28 +375,29 @@ impl ShardedRuntime {
             rxs.push(rx);
         }
         let mut replicated_extra = 0u64;
-        // Workers instantiate their own registry from the shared spec
-        // (engines are not `Send`, so registries cannot be built here and
-        // moved in); a builder failure aborts that worker, whose queue
-        // simply drains into a closed channel, and the error is
-        // propagated after join.
-        let results: Vec<Result<RegistryOutcome, CepError>> = std::thread::scope(|s| {
+        let results: Vec<Result<Outcome, CepError>> = std::thread::scope(|s| {
             let handles: Vec<_> = rxs
                 .into_iter()
                 .enumerate()
                 .map(|(i, rx)| {
                     let depth = traced.then(|| &depths[i]);
-                    s.spawn(move || registry_worker(spec, rx, collect_in_workers, depth))
+                    s.spawn(move || Ok(worker(build()?, rx, collect_in_workers, depth)))
                 })
                 .collect();
-            replicated_extra =
-                route_and_feed(tracer, &mut router, stream, txs, &depths, batch_size);
+            replicated_extra = route_and_feed(
+                tracer,
+                &mut router,
+                stream,
+                txs,
+                &depths,
+                self.config.batch_size,
+            );
             handles
                 .into_iter()
                 .map(|h| h.join().expect("shard worker panicked"))
                 .collect()
         });
-        let outcomes: Vec<RegistryOutcome> = results.into_iter().collect::<Result<_, _>>()?;
+        let outcomes: Vec<Outcome> = results.into_iter().collect::<Result<_, _>>()?;
         let wall = start.elapsed().as_nanos() as u64;
         let mut metrics = EngineMetrics::new();
         let mut per_query: BTreeMap<QueryId, Vec<Match>> = BTreeMap::new();
@@ -481,7 +435,9 @@ impl ShardedRuntime {
                 }
             }
         }
-        metrics.dedup_hits = dedup_hits;
+        if dedup {
+            metrics.dedup_hits = dedup_hits;
+        }
         let match_count = match_counts.values().sum();
         Ok(MultiQueryRunResult {
             per_query,
@@ -490,6 +446,49 @@ impl ShardedRuntime {
             metrics,
             per_shard,
         })
+    }
+}
+
+/// The query id a single-engine run's matches are tagged with.
+const SINGLE: QueryId = QueryId(0);
+
+/// What one worker evaluates: one query's engine (its matches belong to
+/// [`SINGLE`]; the vector is its per-event scratch) or a whole
+/// registry.
+enum Unit {
+    Query(Box<dyn Engine>, Vec<Match>),
+    Registry(Box<QueryRegistry>),
+}
+
+impl Unit {
+    fn query_ids(&self) -> Vec<QueryId> {
+        match self {
+            Unit::Query(..) => vec![SINGLE],
+            Unit::Registry(r) => r.query_ids(),
+        }
+    }
+
+    /// Processes one event (`Some`) or flushes (`None`), appending the
+    /// tagged matches to `out`.
+    fn step(&mut self, event: Option<&EventRef>, out: &mut Vec<(QueryId, Match)>) {
+        match (self, event) {
+            (Unit::Query(engine, scratch), event) => {
+                match event {
+                    Some(e) => engine.process(e, scratch),
+                    None => engine.flush(scratch),
+                }
+                out.extend(scratch.drain(..).map(|m| (SINGLE, m)));
+            }
+            (Unit::Registry(r), Some(e)) => r.process(e, out),
+            (Unit::Registry(r), None) => r.flush(out),
+        }
+    }
+
+    fn metrics(&self) -> EngineMetrics {
+        match self {
+            Unit::Query(engine, _) => engine.metrics().clone(),
+            Unit::Registry(r) => r.metrics(),
+        }
     }
 }
 
@@ -517,40 +516,52 @@ pub struct MultiQueryRunResult {
     pub per_shard: Vec<ShardStats>,
 }
 
-/// One worker: builds its engine, drains its queue batch by batch, flushes
-/// on channel close. Latency accounting mirrors
-/// [`run_to_completion`](cep_core::engine::run_to_completion).
+/// One worker's share of a run: its matches (when collected) and match
+/// counts per query.
+struct Outcome {
+    per_query: BTreeMap<QueryId, Vec<Match>>,
+    counts: BTreeMap<QueryId, u64>,
+    events_routed: u64,
+    metrics: EngineMetrics,
+}
+
+/// One worker: drains its queue batch by batch into `unit`, flushes on
+/// channel close. Latency accounting and the one-in-eight event sampling
+/// mirror [`run_to_completion`](cep_core::engine::run_to_completion);
+/// the sampled histograms land in a local snapshot absorbed into the
+/// unit's final metrics (absorb leaves `events_processed` and
+/// `wall_time_ns` untouched), and `wall_time_ns` gains the worker's busy
+/// time (processing only, queue waits excluded).
 fn worker(
-    factory: &dyn EngineFactory,
+    mut unit: Unit,
     rx: Receiver<Vec<EventRef>>,
     collect_matches: bool,
     queue_depth: Option<&AtomicU64>,
-) -> ShardOutcome {
-    let mut engine = factory.build();
-    let mut matches = Vec::new();
-    let mut scratch = Vec::new();
-    let mut match_count = 0u64;
+) -> Outcome {
+    let ids = unit.query_ids();
+    let mut per_query: BTreeMap<QueryId, Vec<Match>> =
+        ids.iter().map(|&id| (id, Vec::new())).collect();
+    let mut counts: BTreeMap<QueryId, u64> = ids.iter().map(|&id| (id, 0)).collect();
+    let mut scratch: Vec<(QueryId, Match)> = Vec::new();
+    let mut sampled = EngineMetrics::new();
     let mut events_routed = 0u64;
     let mut busy_ns = 0u64;
-    let drain = |engine: &mut Box<dyn cep_core::engine::Engine>,
-                 scratch: &mut Vec<Match>,
-                 matches: &mut Vec<Match>,
-                 latency_start: Instant| {
+    let mut drain = |scratch: &mut Vec<(QueryId, Match)>,
+                     sampled: &mut EngineMetrics,
+                     latency_start: Instant| {
         if scratch.is_empty() {
-            return 0u64;
+            return;
         }
         let latency = latency_start.elapsed().as_nanos() as u64;
-        let emitted = scratch.len() as u64;
-        engine
-            .metrics_mut()
+        sampled
             .match_latency_ns
-            .record_n(latency, emitted);
-        if collect_matches {
-            matches.append(scratch);
-        } else {
-            scratch.clear();
+            .record_n(latency, scratch.len() as u64);
+        for (id, m) in scratch.drain(..) {
+            *counts.get_mut(&id).expect("registered id") += 1;
+            if collect_matches {
+                per_query.get_mut(&id).expect("registered id").push(m);
+            }
         }
-        emitted
     };
     while let Ok(batch) = rx.recv() {
         if let Some(d) = queue_depth {
@@ -559,26 +570,28 @@ fn worker(
         let batch_start = Instant::now();
         for event in &batch {
             let ev_start = Instant::now();
-            engine.process(event, &mut scratch);
+            unit.step(Some(event), &mut scratch);
             events_routed += 1;
             if events_routed & EVENT_SAMPLE_MASK == 0 {
                 let dt = ev_start.elapsed().as_nanos() as u64;
-                engine.metrics_mut().event_ns.record(dt);
+                sampled.event_ns.record(dt);
             }
-            match_count += drain(&mut engine, &mut scratch, &mut matches, ev_start);
+            drain(&mut scratch, &mut sampled, ev_start);
         }
         busy_ns += batch_start.elapsed().as_nanos() as u64;
     }
     let flush_start = Instant::now();
-    engine.flush(&mut scratch);
-    match_count += drain(&mut engine, &mut scratch, &mut matches, flush_start);
+    unit.step(None, &mut scratch);
+    drain(&mut scratch, &mut sampled, flush_start);
     busy_ns += flush_start.elapsed().as_nanos() as u64;
-    engine.metrics_mut().wall_time_ns += busy_ns;
-    ShardOutcome {
-        matches,
-        match_count,
+    let mut metrics = unit.metrics();
+    metrics.wall_time_ns += busy_ns;
+    metrics.absorb(&sampled);
+    Outcome {
+        per_query,
+        counts,
         events_routed,
-        metrics: engine.metrics().clone(),
+        metrics,
     }
 }
 
@@ -652,101 +665,6 @@ fn route_and_feed(
     }
     drop(txs); // close the channels: workers flush and return
     replicated_extra
-}
-
-struct RegistryOutcome {
-    per_query: BTreeMap<QueryId, Vec<Match>>,
-    counts: BTreeMap<QueryId, u64>,
-    events_routed: u64,
-    metrics: EngineMetrics,
-}
-
-/// One multi-query worker: owns a private [`QueryRegistry`], drains its
-/// queue batch by batch, flushes on channel close. Latency and per-event
-/// cadence mirror [`worker`]; the sampled histograms land in a local
-/// snapshot absorbed into the registry's metrics at the end (absorb
-/// leaves `events_processed`/`wall_time_ns` untouched).
-fn registry_worker(
-    spec: &RegistrySpec,
-    rx: Receiver<Vec<EventRef>>,
-    collect_matches: bool,
-    queue_depth: Option<&AtomicU64>,
-) -> Result<RegistryOutcome, CepError> {
-    fn drain(
-        scratch: &mut Vec<(QueryId, Match)>,
-        per_query: &mut BTreeMap<QueryId, Vec<Match>>,
-        counts: &mut BTreeMap<QueryId, u64>,
-        sampled: &mut EngineMetrics,
-        collect: bool,
-        latency_start: Instant,
-    ) {
-        if scratch.is_empty() {
-            return;
-        }
-        let latency = latency_start.elapsed().as_nanos() as u64;
-        sampled
-            .match_latency_ns
-            .record_n(latency, scratch.len() as u64);
-        for (id, m) in scratch.drain(..) {
-            *counts.get_mut(&id).expect("registered id") += 1;
-            if collect {
-                per_query.get_mut(&id).expect("registered id").push(m);
-            }
-        }
-    }
-    let mut registry: QueryRegistry = spec.instantiate()?;
-    let ids = registry.query_ids();
-    let mut per_query: BTreeMap<QueryId, Vec<Match>> =
-        ids.iter().map(|&id| (id, Vec::new())).collect();
-    let mut counts: BTreeMap<QueryId, u64> = ids.iter().map(|&id| (id, 0)).collect();
-    let mut scratch: Vec<(QueryId, Match)> = Vec::new();
-    let mut sampled = EngineMetrics::new();
-    let mut events_routed = 0u64;
-    let mut busy_ns = 0u64;
-    while let Ok(batch) = rx.recv() {
-        if let Some(d) = queue_depth {
-            d.fetch_sub(1, Ordering::Relaxed);
-        }
-        let batch_start = Instant::now();
-        for event in &batch {
-            let ev_start = Instant::now();
-            registry.process(event, &mut scratch);
-            events_routed += 1;
-            if events_routed & EVENT_SAMPLE_MASK == 0 {
-                let dt = ev_start.elapsed().as_nanos() as u64;
-                sampled.event_ns.record(dt);
-            }
-            drain(
-                &mut scratch,
-                &mut per_query,
-                &mut counts,
-                &mut sampled,
-                collect_matches,
-                ev_start,
-            );
-        }
-        busy_ns += batch_start.elapsed().as_nanos() as u64;
-    }
-    let flush_start = Instant::now();
-    registry.flush(&mut scratch);
-    drain(
-        &mut scratch,
-        &mut per_query,
-        &mut counts,
-        &mut sampled,
-        collect_matches,
-        flush_start,
-    );
-    busy_ns += flush_start.elapsed().as_nanos() as u64;
-    let mut metrics = registry.metrics();
-    metrics.wall_time_ns = busy_ns;
-    metrics.absorb(&sampled);
-    Ok(RegistryOutcome {
-        per_query,
-        counts,
-        events_routed,
-        metrics,
-    })
 }
 
 /// Sorts matches into the canonical deterministic order used to merge

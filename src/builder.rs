@@ -3,25 +3,9 @@
 //! sets up multi-query execution ([`QueryRegistry`] / [`RegistrySpec`]),
 //! and [`Backend`] names the evaluation engine family either builds on.
 //!
-//! # Migration from the constructor functions
-//!
-//! The twelve per-shape constructors of earlier releases are thin
-//! `#[deprecated]` shims over this builder; replace them as follows:
-//!
-//! | Old constructor | Builder chain |
-//! |---|---|
-//! | `build_nfa_engine(p, g, alg, c)` | `engine(p).backend(Backend::Nfa(alg)).stats(g).config(c).build()` |
-//! | `build_tree_engine(p, g, alg, c)` | `engine(p).backend(Backend::Tree(alg)).stats(g).config(c).build()` |
-//! | `build_delta_engine(p, c)` | `engine(p).config(c).build()` (delta is the default backend) |
-//! | `nfa_engine_factory(p, g, alg, c)` | `engine(p).backend(Backend::Nfa(alg)).stats(g).config(c).factory()` |
-//! | `tree_engine_factory(p, g, alg, c)` | `engine(p).backend(Backend::Tree(alg)).stats(g).config(c).factory()` |
-//! | `delta_engine_factory(p, c)` | `engine(p).config(c).factory()` |
-//! | `adaptive_nfa_engine_factory(p, g, alg, c, a)` | `engine(p).backend(Backend::Nfa(alg)).stats(g).config(c).adaptive(a).factory()` |
-//! | `adaptive_tree_engine_factory(p, g, alg, c, a)` | `engine(p).backend(Backend::Tree(alg)).stats(g).config(c).adaptive(a).factory()` |
-//! | `full_adaptive_nfa_engine_factory(p, g, alg, c, a)` | `engine(p).backend(Backend::Nfa(alg)).stats(g).config(c).full_adaptive(a).factory()` |
-//! | `full_adaptive_tree_engine_factory(p, g, alg, c, a)` | `engine(p).backend(Backend::Tree(alg)).stats(g).config(c).full_adaptive(a).factory()` |
-//! | `replicate_join_nfa_engine_factory(p, g, alg, c)` | `engine(p).backend(Backend::Nfa(alg)).stats(g).config(c).replicate_join().factory_and_policy()` |
-//! | `replicate_join_tree_engine_factory(p, g, alg, c)` | `engine(p).backend(Backend::Tree(alg)).stats(g).config(c).replicate_join().factory_and_policy()` |
+//! A single-branch pattern builds its backend's engine; a disjunction
+//! builds a registry of one ([`QueryRegistry::of_query`]) over its DNF
+//! branch engines — the registry is the one place that unions branches.
 //!
 //! Misuse is reported up front with typed errors:
 //! [`CepError::Stats`] when the NFA/tree planner (or adaptive replanning,
@@ -32,8 +16,8 @@
 //! without collecting its routing policy.
 
 use cep_core::compile::{CompiledPattern, NaryOp};
-use cep_core::compiled::{shared_plan_cache, PredicateProgram, SharedPlanCache};
-use cep_core::engine::{Engine, EngineConfig, EngineFactory, MultiEngine};
+use cep_core::compiled::{fetch_program, shared_plan_cache, PredicateProgram, SharedPlanCache};
+use cep_core::engine::{Engine, EngineConfig, EngineFactory};
 use cep_core::error::CepError;
 use cep_core::pattern::Pattern;
 use cep_core::plan::{OrderPlan, TreePlan};
@@ -174,8 +158,8 @@ impl<'a> EngineBuilder<'a> {
         self
     }
 
-    /// Builds one engine. Disjunctions produce a [`MultiEngine`] over
-    /// the DNF branches internally.
+    /// Builds one engine. Disjunctions produce a registry of one
+    /// ([`QueryRegistry::of_query`]) over the DNF branch engines.
     pub fn build(self) -> Result<Box<dyn Engine>, CepError> {
         Ok(self.factory()?.build())
     }
@@ -231,15 +215,7 @@ impl<'a> EngineBuilder<'a> {
 
     fn factory_inner(&self) -> Result<Box<dyn EngineFactory>, CepError> {
         match (self.backend, &self.adaptive) {
-            (Backend::Delta, None) => {
-                let branches = CompiledPattern::compile(self.pattern)?;
-                Ok(Box::new(DeltaFactory {
-                    branches,
-                    window: self.pattern.window,
-                    config: self.config.clone(),
-                    plan_cache: shared_plan_cache(PLAN_CACHE_CAP),
-                }))
-            }
+            (Backend::Delta, None) => self.branch_factory(|_| Ok(BranchPlan::Delta)),
             (Backend::Delta, Some(_)) => Err(CepError::Plan(
                 "the delta backend picks its join order per probe and has no plan \
                  to replan; use Backend::Nfa or Backend::Tree for adaptive engines"
@@ -247,41 +223,23 @@ impl<'a> EngineBuilder<'a> {
             )),
             (Backend::Nfa(algorithm), None) => {
                 let gen = self.require_stats("planning an order-based (NFA) engine")?;
-                let planner = Planner::default();
-                let measured = analytic_measured_stats(gen);
-                let compiled = CompiledPattern::compile(self.pattern)?;
-                let mut branches = Vec::with_capacity(compiled.len());
-                for cp in compiled {
-                    let sels = analytic_selectivities(&cp, gen);
-                    let stats = planner.stats_for(&cp, &measured, &sels)?;
-                    let plan = planner.plan_order(&cp, &stats, algorithm)?;
-                    branches.push((cp, plan));
-                }
-                Ok(Box::new(PlannedFactory {
-                    branches: BranchPlans::Order(branches),
-                    window: self.pattern.window,
-                    config: self.config.clone(),
-                    plan_cache: shared_plan_cache(PLAN_CACHE_CAP),
-                }))
+                let (planner, measured) = (Planner::default(), analytic_measured_stats(gen));
+                self.branch_factory(|cp| {
+                    let sels = analytic_selectivities(cp, gen);
+                    let stats = planner.stats_for(cp, &measured, &sels)?;
+                    Ok(BranchPlan::Order(
+                        planner.plan_order(cp, &stats, algorithm)?,
+                    ))
+                })
             }
             (Backend::Tree(algorithm), None) => {
                 let gen = self.require_stats("planning a tree-based engine")?;
-                let planner = Planner::default();
-                let measured = analytic_measured_stats(gen);
-                let compiled = CompiledPattern::compile(self.pattern)?;
-                let mut branches = Vec::with_capacity(compiled.len());
-                for cp in compiled {
-                    let sels = analytic_selectivities(&cp, gen);
-                    let stats = planner.stats_for(&cp, &measured, &sels)?;
-                    let plan = planner.plan_tree(&cp, &stats, algorithm)?;
-                    branches.push((cp, plan));
-                }
-                Ok(Box::new(PlannedFactory {
-                    branches: BranchPlans::Tree(branches),
-                    window: self.pattern.window,
-                    config: self.config.clone(),
-                    plan_cache: shared_plan_cache(PLAN_CACHE_CAP),
-                }))
+                let (planner, measured) = (Planner::default(), analytic_measured_stats(gen));
+                self.branch_factory(|cp| {
+                    let sels = analytic_selectivities(cp, gen);
+                    let stats = planner.stats_for(cp, &measured, &sels)?;
+                    Ok(BranchPlan::Tree(planner.plan_tree(cp, &stats, algorithm)?))
+                })
             }
             (Backend::Nfa(algorithm), Some((adaptive, full))) => {
                 let gen = self.require_stats("adaptive replanning")?;
@@ -306,6 +264,27 @@ impl<'a> EngineBuilder<'a> {
                 )
             }
         }
+    }
+
+    /// A [`BranchFactory`] over the pattern's DNF branches, each planned
+    /// once by `plan`.
+    fn branch_factory(
+        &self,
+        mut plan: impl FnMut(&CompiledPattern) -> Result<BranchPlan, CepError>,
+    ) -> Result<Box<dyn EngineFactory>, CepError> {
+        let branches = CompiledPattern::compile(self.pattern)?
+            .into_iter()
+            .map(|cp| {
+                let branch_plan = plan(&cp)?;
+                Ok((cp, branch_plan))
+            })
+            .collect::<Result<_, CepError>>()?;
+        Ok(Box::new(BranchFactory {
+            branches,
+            window: self.pattern.window,
+            config: self.config.clone(),
+            plan_cache: shared_plan_cache(PLAN_CACHE_CAP),
+        }))
     }
 }
 
@@ -525,17 +504,22 @@ impl FragmentBuilder for FacadeFragmentBuilder {
     }
 }
 
-/// Per-branch evaluation plans shared by the engines a factory stamps out.
-enum BranchPlans {
-    Order(Vec<(CompiledPattern, OrderPlan)>),
-    Tree(Vec<(CompiledPattern, TreePlan)>),
+/// How a [`BranchFactory`] builds one DNF branch's engine.
+enum BranchPlan {
+    /// The lazy NFA under a planned order.
+    Order(OrderPlan),
+    /// The tree engine under a planned tree.
+    Tree(TreePlan),
+    /// The plan-free delta engine.
+    Delta,
 }
 
 /// An [`EngineFactory`] over pre-validated branch plans: plan once, build
 /// fresh engines any number of times (one per worker shard, typically).
-/// Disjunctions build a [`MultiEngine`] over the DNF branches.
-struct PlannedFactory {
-    branches: BranchPlans,
+/// A single branch builds its bare engine; a disjunction builds a
+/// registry of one ([`QueryRegistry::of_query`]) over the branch engines.
+struct BranchFactory {
+    branches: Vec<(CompiledPattern, BranchPlan)>,
     window: u64,
     config: EngineConfig,
     /// Signature-keyed compiled-program cache shared by every engine this
@@ -545,112 +529,40 @@ struct PlannedFactory {
     plan_cache: SharedPlanCache,
 }
 
-impl EngineFactory for PlannedFactory {
+impl EngineFactory for BranchFactory {
     fn build(&self) -> Box<dyn Engine> {
-        // `PlannedFactory` is only ever constructed with plans the planner
-        // produced for these very compiled patterns, so engine
-        // construction cannot fail. Each branch's hit/miss is stamped onto
-        // the freshly built engine's metrics, so cache effectiveness
-        // surfaces through the normal metrics pipeline (a [`MultiEngine`]
-        // absorbs branch counters into its aggregate view).
-        let fetch = |cp: &CompiledPattern| -> (Option<Arc<PredicateProgram>>, u64, u64) {
-            if !self.config.compiled_predicates {
-                return (None, 0, 0);
-            }
-            let mut cache = self.plan_cache.lock().expect("plan cache poisoned");
-            let (h0, m0) = (cache.hits(), cache.misses());
-            let program = cache.get_or_compile(cp);
-            (Some(program), cache.hits() - h0, cache.misses() - m0)
-        };
-        let mut engines: Vec<Box<dyn Engine>> = match &self.branches {
-            BranchPlans::Order(branches) => branches
-                .iter()
-                .map(|(cp, plan)| {
-                    let (program, hits, misses) = fetch(cp);
-                    let mut engine = Box::new(
-                        NfaEngine::with_program(
-                            cp.clone(),
-                            plan.clone(),
-                            self.config.clone(),
-                            program,
-                        )
-                        .expect("pre-validated plan"),
-                    );
-                    engine.metrics_mut().plan_cache_hits = hits;
-                    engine.metrics_mut().plan_cache_misses = misses;
-                    engine as Box<dyn Engine>
-                })
-                .collect(),
-            BranchPlans::Tree(branches) => branches
-                .iter()
-                .map(|(cp, plan)| {
-                    let (program, hits, misses) = fetch(cp);
-                    let mut engine = Box::new(
-                        TreeEngine::with_program(
-                            cp.clone(),
-                            plan.clone(),
-                            self.config.clone(),
-                            program,
-                        )
-                        .expect("pre-validated plan"),
-                    );
-                    engine.metrics_mut().plan_cache_hits = hits;
-                    engine.metrics_mut().plan_cache_misses = misses;
-                    engine as Box<dyn Engine>
-                })
-                .collect(),
-        };
-        if engines.len() == 1 {
-            engines.pop().expect("one engine")
-        } else {
-            Box::new(MultiEngine::new(engines, self.window))
-        }
-    }
-}
-
-/// An [`EngineFactory`] stamping out [`DeltaEngine`]s — one per DNF
-/// branch, wrapped in a [`MultiEngine`] for disjunctions. The delta
-/// engine needs no evaluation plan (its join order is chosen per probe
-/// from live index sizes), so unlike [`PlannedFactory`] there is no
-/// planner input; the shared plan cache still deduplicates predicate
-/// lowering across builds.
-struct DeltaFactory {
-    branches: Vec<CompiledPattern>,
-    window: u64,
-    config: EngineConfig,
-    plan_cache: SharedPlanCache,
-}
-
-impl EngineFactory for DeltaFactory {
-    fn build(&self) -> Box<dyn Engine> {
-        let fetch = |cp: &CompiledPattern| -> (Option<Arc<PredicateProgram>>, u64, u64) {
-            if !self.config.compiled_predicates {
-                return (None, 0, 0);
-            }
-            let mut cache = self.plan_cache.lock().expect("plan cache poisoned");
-            let (h0, m0) = (cache.hits(), cache.misses());
-            let program = cache.get_or_compile(cp);
-            (Some(program), cache.hits() - h0, cache.misses() - m0)
-        };
-        let mut engines: Vec<Box<dyn Engine>> = self
+        let mut engines: Vec<(CompiledPattern, Box<dyn Engine>)> = self
             .branches
             .iter()
-            .map(|cp| {
-                let (program, hits, misses) = fetch(cp);
-                let mut engine = Box::new(DeltaEngine::with_program(
-                    cp.clone(),
-                    self.config.clone(),
-                    program,
-                ));
+            .map(|(cp, plan)| {
+                let (program, hits, misses) =
+                    fetch_program(&self.plan_cache, cp, self.config.compiled_predicates);
+                let config = self.config.clone();
+                // The planner produced these plans for these very compiled
+                // patterns, so engine construction cannot fail.
+                let mut engine: Box<dyn Engine> = match plan {
+                    BranchPlan::Order(plan) => Box::new(
+                        NfaEngine::with_program(cp.clone(), plan.clone(), config, program)
+                            .expect("pre-validated plan"),
+                    ),
+                    BranchPlan::Tree(plan) => Box::new(
+                        TreeEngine::with_program(cp.clone(), plan.clone(), config, program)
+                            .expect("pre-validated plan"),
+                    ),
+                    BranchPlan::Delta => {
+                        Box::new(DeltaEngine::with_program(cp.clone(), config, program))
+                    }
+                };
+                // A registry of one absorbs these branch counters.
                 engine.metrics_mut().plan_cache_hits = hits;
                 engine.metrics_mut().plan_cache_misses = misses;
-                engine as Box<dyn Engine>
+                (cp.clone(), engine)
             })
             .collect();
         if engines.len() == 1 {
-            engines.pop().expect("one engine")
+            engines.pop().expect("one engine").1
         } else {
-            Box::new(MultiEngine::new(engines, self.window))
+            Box::new(QueryRegistry::of_query(engines, self.window).expect("at least one branch"))
         }
     }
 }

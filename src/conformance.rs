@@ -14,11 +14,12 @@
 //! sets. New backends get the full differential sweep by adding one entry
 //! to [`standard_backends`].
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use cep_core::compile::CompiledPattern;
 use cep_core::compiled::PredicateProgram;
-use cep_core::engine::{run_to_completion, Engine, EngineConfig, MultiEngine};
+use cep_core::engine::{run_to_completion, Engine, EngineConfig};
 use cep_core::event::{Event, EventRef, TypeId};
 use cep_core::matches::{validate_match, Match};
 use cep_core::naive::NaiveEngine;
@@ -62,6 +63,22 @@ pub fn op_of(code: u8) -> CmpOp {
 /// Materializes a [`PatternSpec`], or `None` for structurally degenerate
 /// draws (e.g. no positive element).
 pub fn build_pattern(spec: &PatternSpec) -> Option<Pattern> {
+    build_spec(spec, None)
+}
+
+/// Materializes the disjunction of two specs that share `spec`'s
+/// elements and predicates and differ in one trailing element:
+/// `OP(spec…, OR(alt₀, alt₁))`, whose DNF branches are `OP(spec…, alt₀)`
+/// and `OP(spec…, alt₁)`. Each alternative is `(type, flag)` with the
+/// [`PatternSpec::elements`] flags. Two negated alternatives bind the
+/// same positive events, so both branches emit identical match
+/// signatures and the union must deduplicate them. `None` for
+/// degenerate draws.
+pub fn build_or_pattern(spec: &PatternSpec, alts: [(u32, u8); 2]) -> Option<Pattern> {
+    build_spec(spec, Some(alts))
+}
+
+fn build_spec(spec: &PatternSpec, or_tail: Option<[(u32, u8); 2]>) -> Option<Pattern> {
     let mut b = PatternBuilder::new(spec.window);
     let evs: Vec<_> = spec
         .elements
@@ -87,15 +104,27 @@ pub fn build_pattern(spec: &PatternSpec) -> Option<Pattern> {
             0,
         ));
     }
-    let exprs: Vec<PatternExpr> = evs
+    let flagged = |b: &PatternBuilder, e, flag: u8| match flag {
+        1 => b.not(e),
+        2 => b.kleene(e),
+        _ => b.expr(e),
+    };
+    let mut exprs: Vec<PatternExpr> = evs
         .iter()
         .zip(&spec.elements)
-        .map(|(&e, (_, flag))| match flag {
-            1 => b.not(e),
-            2 => b.kleene(e),
-            _ => b.expr(e),
-        })
+        .map(|(&e, &(_, flag))| flagged(&b, e, flag))
         .collect();
+    if let Some(alts) = or_tail {
+        let alternatives = alts
+            .iter()
+            .enumerate()
+            .map(|(k, &(t, flag))| {
+                let e = b.event(TypeId(t), &format!("alt{k}"));
+                flagged(&b, e, flag)
+            })
+            .collect();
+        exprs.push(PatternExpr::Or(alternatives));
+    }
     let result = if spec.is_seq {
         b.seq_exprs(exprs)
     } else {
@@ -135,6 +164,21 @@ pub fn keyed(ms: &[Match]) -> Vec<MatchKey> {
     let mut ks: Vec<_> = ms.iter().map(|m| (m.signature(), m.emitted_at)).collect();
     ks.sort();
     ks
+}
+
+/// The union of independent per-branch outputs — the reference a
+/// disjunctive query (or a registry query) is checked against: each
+/// match signature once, at its smallest `emitted_at`. Under [`keyed`]
+/// this is exactly the set a correct branch union emits.
+pub fn union_of(branch_outputs: Vec<Vec<Match>>) -> Vec<Match> {
+    let mut first: HashMap<Vec<(usize, Vec<u64>)>, Match> = HashMap::new();
+    for m in branch_outputs.into_iter().flatten() {
+        let kept = first.entry(m.signature()).or_insert_with(|| m.clone());
+        if m.emitted_at < kept.emitted_at {
+            *kept = m;
+        }
+    }
+    first.into_values().collect()
 }
 
 /// Deterministic "random" permutation of `0..n` derived from a seed.
@@ -292,10 +336,11 @@ pub fn check_stream_under(
 /// Multi-query conformance: registers every pattern in one
 /// [`QueryRegistry`] per standard backend — interpreted and compiled
 /// predicate paths both — and asserts each query's collected output
-/// byte-identical ([`keyed`]) to an independent per-query
-/// [`MultiEngine`] over the same backend's branch engines, built under
-/// the same plan seed. This is the registry's core contract: sharing
-/// fragments across queries must be invisible in every query's output.
+/// byte-identical ([`keyed`]) to the [`union_of`] independent engines
+/// over the query's DNF branches, one per branch from the same backend
+/// under the same plan seed. This is the registry's core contract:
+/// sharing fragments across queries and deduplicating across a query's
+/// branches must be invisible in every query's output.
 #[allow(clippy::ptr_arg)] // `EventStream` is `Vec<EventRef>`; callers hold one.
 pub fn check_registry_stream(
     patterns: &[Pattern],
@@ -310,18 +355,21 @@ pub fn check_registry_stream(
                 compiled_predicates: compiled,
                 ..base_cfg.clone()
             };
-            // Independent baselines: a fresh MultiEngine per query (one
-            // branch engine per DNF branch, registry-style dedup).
-            let mut expected = Vec::new();
-            for pattern in patterns {
-                let branches = CompiledPattern::compile(pattern).expect("compilable pattern");
-                let engines: Vec<Box<dyn Engine>> = branches
-                    .iter()
-                    .map(|cp| backend.build(cp, seed, &cfg))
-                    .collect();
-                let mut multi = MultiEngine::new(engines, pattern.window);
-                expected.push(keyed(&run_to_completion(&mut multi, stream, true).matches));
-            }
+            // Independent references: every branch on its own engine.
+            let expected: Vec<_> = patterns
+                .iter()
+                .map(|pattern| {
+                    let branches = CompiledPattern::compile(pattern).expect("compilable pattern");
+                    let outputs = branches
+                        .iter()
+                        .map(|cp| {
+                            let mut engine = backend.build(cp, seed, &cfg);
+                            run_to_completion(engine.as_mut(), stream, true).matches
+                        })
+                        .collect();
+                    keyed(&union_of(outputs))
+                })
+                .collect();
             // One registry over all the queries, same builder and seed.
             let b = Arc::clone(&backend);
             let bcfg = cfg.clone();
@@ -341,7 +389,7 @@ pub fn check_registry_stream(
                 assert_eq!(
                     &got, want,
                     "{}(seed {seed}, compiled={compiled}): registry query {id} \
-                     diverged from its independent engine",
+                     diverged from the union of its independent branch engines",
                     backend.name
                 );
             }
@@ -367,9 +415,21 @@ pub fn check_registry_equivalence_under(
     seed: u64,
     strategy: SelectionStrategy,
 ) {
-    let patterns: Vec<Pattern> = specs
-        .iter()
-        .filter_map(build_pattern)
+    let patterns: Vec<Pattern> = specs.iter().filter_map(build_pattern).collect();
+    check_registry_patterns_under(patterns, raw_stream, seed, strategy);
+}
+
+/// [`check_registry_stream`] over already-built patterns (e.g. from
+/// [`build_or_pattern`]), re-stamped with `strategy`; patterns that do
+/// not compile are skipped.
+pub fn check_registry_patterns_under(
+    patterns: Vec<Pattern>,
+    raw_stream: Vec<(u32, u8, i8)>,
+    seed: u64,
+    strategy: SelectionStrategy,
+) {
+    let patterns: Vec<Pattern> = patterns
+        .into_iter()
         .map(|mut p| {
             p.strategy = strategy;
             p

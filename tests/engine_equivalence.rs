@@ -189,6 +189,77 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 32,
+        max_shrink_iters: 200,
+    })]
+
+    /// Boundary windows: `u64::MAX` (nothing ever expires; `ts + window`
+    /// must not overflow) and 0 (only same-timestamp events combine —
+    /// reachable through a directly compiled pattern, since the pattern
+    /// builder rejects it), with negation possibly present, under the
+    /// exact strategies.
+    #[test]
+    fn boundary_windows_equivalent(
+        is_seq in any::<bool>(),
+        types in prop::collection::vec(0u32..4, 2..=3),
+        neg_at in 0usize..3,
+        with_neg in any::<bool>(),
+        preds in prop::collection::vec((0usize..3, 0usize..3, 0u8..8), 0..=2),
+        raw in prop::collection::vec((0u32..5, 0u8..4, -3i8..4), 8..=30),
+        seed in any::<u64>(),
+        unbounded in any::<bool>(),
+        strict in any::<bool>(),
+    ) {
+        let mut elements: Vec<(u32, u8)> = types.into_iter().map(|t| (t, 0)).collect();
+        if with_neg {
+            let k = neg_at % elements.len();
+            elements[k].1 = 1;
+        }
+        let window = if unbounded { u64::MAX } else { 0 };
+        let spec = PatternSpec { is_seq, elements, predicates: preds, window: 1 };
+        let Some(mut pattern) = build_pattern(&spec) else { return Ok(()); };
+        pattern.strategy = if strict {
+            SelectionStrategy::StrictContiguity
+        } else {
+            SelectionStrategy::SkipTillAnyMatch
+        };
+        let Ok(mut cp) = CompiledPattern::compile_single(&pattern) else { return Ok(()); };
+        cp.window = window;
+        let stream = cep::conformance::build_stream(&raw);
+        let cfg = EngineConfig { max_kleene_events: 4, ..Default::default() };
+        check_stream_under(&cp, &stream, &cfg, seed, &format!("{pattern} (window {window})"));
+    }
+}
+
+/// An unbounded window keeps every pair: `SEQ(a, b)` over 200 alternating
+/// a/b events finds all 20 100 ordered pairs on every backend — the same
+/// count a window spanning the whole stream gives.
+#[test]
+fn unbounded_window_keeps_every_pair() {
+    let mut sb = StreamBuilder::new();
+    for i in 0..400u64 {
+        sb.push(Event::new(
+            TypeId((i % 2) as u32),
+            i * 2,
+            vec![Value::Int(0)],
+        ));
+    }
+    let stream = sb.build();
+    let count = |window: u64| {
+        let mut b = PatternBuilder::new(window);
+        let a = b.event(TypeId(0), "a");
+        let c = b.event(TypeId(1), "b");
+        let cp = CompiledPattern::compile_single(&b.seq([a, c]).unwrap()).unwrap();
+        check_stream_under(&cp, &stream, &EngineConfig::default(), 7, "SEQ(a, b)");
+        let mut oracle = NaiveEngine::new(cp, EngineConfig::default());
+        run_to_completion(&mut oracle, &stream, false).match_count
+    };
+    assert_eq!(count(2_000), 20_100);
+    assert_eq!(count(u64::MAX), 20_100);
+}
+
 /// Regression fixture: the paper's four-camera pattern on a crafted stream,
 /// checked across all 24 plan orders, a bushy tree, and the delta engine.
 #[test]

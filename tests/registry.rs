@@ -7,7 +7,10 @@
 //! 32 overlapping queries, three backends, byte-identity per query, and
 //! sub-linear predicate work.
 
-use cep::conformance::{check_registry_equivalence_under, keyed, PatternSpec};
+use cep::conformance::{
+    build_or_pattern, build_pattern, check_registry_equivalence_under,
+    check_registry_patterns_under, keyed, PatternSpec,
+};
 use cep::core::engine::run_to_completion;
 use cep::core::selection::SelectionStrategy;
 use cep::prelude::*;
@@ -53,6 +56,50 @@ proptest! {
             seed,
             SelectionStrategy::SkipTillAnyMatch,
         );
+    }
+
+    /// Disjunctive queries: each ORs two specs that share their elements
+    /// and differ in one trailing alternative, mixed with a plain query
+    /// over the same elements. With both alternatives negated the two
+    /// branches emit identical signatures, and the registry's output must
+    /// still equal the union of independent branch engines.
+    #[test]
+    fn registry_or_patterns_match_branch_union(
+        is_seq in any::<bool>(),
+        types in prop::collection::vec(0u32..4, 1..=2),
+        alts in prop::collection::vec(((0u32..5, 0u8..2), (0u32..5, 0u8..2)), 1..=2),
+        identical in any::<bool>(),
+        preds in prop::collection::vec((0usize..2, 0usize..2, 0u8..8), 0..=1),
+        raw in prop::collection::vec((0u32..5, 0u8..4, -3i8..4), 10..=30),
+        seed in any::<u64>(),
+        window in 4u64..10,
+        strict in any::<bool>(),
+    ) {
+        let spec = PatternSpec {
+            is_seq,
+            elements: types.iter().map(|&t| (t, 0)).collect(),
+            predicates: preds,
+            window,
+        };
+        let mut patterns: Vec<_> = alts
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &(a0, a1))| {
+                let alts = if identical && i == 0 {
+                    [(a0.0, 1), (a1.0, 1)]
+                } else {
+                    [a0, a1]
+                };
+                build_or_pattern(&spec, alts)
+            })
+            .collect();
+        patterns.extend(build_pattern(&spec));
+        let strategy = if strict {
+            SelectionStrategy::StrictContiguity
+        } else {
+            SelectionStrategy::SkipTillAnyMatch
+        };
+        check_registry_patterns_under(patterns, raw, seed, strategy);
     }
 
     /// The same property under the stricter exact strategies.

@@ -1,11 +1,11 @@
-//! Deeper coverage of the selection strategies, multi-engine disjunction
-//! handling, and engine lifecycle edge cases.
+//! Deeper coverage of the selection strategies, disjunction handling, and
+//! engine lifecycle edge cases.
 
 use cep::core::compile::CompiledPattern;
-use cep::core::engine::{run_to_completion, Engine, EngineConfig, MultiEngine};
+use cep::core::engine::{run_to_completion, Engine, EngineConfig};
 use cep::core::event::{Event, TypeId};
 use cep::core::naive::NaiveEngine;
-use cep::core::pattern::PatternBuilder;
+use cep::core::pattern::{PatternBuilder, PatternExpr};
 use cep::core::plan::{OrderPlan, TreeNode, TreePlan};
 use cep::core::predicate::{CmpOp, Predicate};
 use cep::core::selection::SelectionStrategy;
@@ -118,26 +118,26 @@ fn next_match_under_negation_consumes_only_emitted() {
 
 #[test]
 fn multi_engine_prunes_dedup_memory() {
-    // Two identical branches; the dedup table must not grow with the
-    // stream (signatures older than the window are evicted).
-    let mut b1 = PatternBuilder::new(5);
-    let a1 = b1.event(t(0), "a");
-    let cp1 = CompiledPattern::compile_single(&b1.seq([a1]).unwrap()).unwrap();
-    let mut b2 = PatternBuilder::new(5);
-    let a2 = b2.event(t(0), "a");
-    let cp2 = CompiledPattern::compile_single(&b2.seq([a2]).unwrap()).unwrap();
-    let engines: Vec<Box<dyn Engine>> = vec![
-        Box::new(NfaEngine::with_trivial_plan(cp1, EngineConfig::default())),
-        Box::new(NfaEngine::with_trivial_plan(cp2, EngineConfig::default())),
-    ];
-    let mut me = MultiEngine::new(engines, 5);
+    // SEQ(OR(NOT n1, NOT n2), a): two branches that bind the same single
+    // event, so every match is emitted by both and must be deduplicated;
+    // the dedup table must not grow with the stream (signatures older
+    // than the window are evicted).
+    let mut b = PatternBuilder::new(5);
+    let n1 = b.event(t(1), "n1");
+    let n2 = b.event(t(2), "n2");
+    let a = b.event(t(0), "a");
+    let either = PatternExpr::Or(vec![b.not(n1), b.not(n2)]);
+    let a = b.expr(a);
+    let p = b.seq_exprs([either, a]).unwrap();
+    assert_eq!(CompiledPattern::compile(&p).unwrap().len(), 2);
+    let mut engine = cep::engine(&p).build().unwrap();
     let mut events = Vec::new();
     for i in 0..3000u64 {
         events.push(ev(0, i * 2, 0));
     }
     let s = stream(events);
-    let r = run_to_completion(&mut me, &s, true);
-    // Identical branches: each event matches once (deduped).
+    let r = run_to_completion(engine.as_mut(), &s, true);
+    // Both branches match every event: each is delivered once.
     assert_eq!(r.match_count, 3000);
 }
 
