@@ -2,7 +2,7 @@
 
 use cep_core::engine::{Engine, EngineFactory};
 use cep_core::event::{EventRef, Timestamp};
-use cep_core::matches::Match;
+use cep_core::matches::{Match, SeenMatches};
 use cep_core::metrics::EngineMetrics;
 use cep_core::stats::MeasuredStats;
 use cep_obs::{TraceRecord, Tracer};
@@ -15,9 +15,6 @@ use std::time::Instant;
 /// from the active engine; keeps the per-event hot path free of the
 /// 17-field rebuild (the view is always refreshed at swap and flush).
 const REFRESH_EVERY: u64 = 64;
-
-/// Canonical match identity (see [`Match::signature`]).
-type Sig = Vec<(usize, Vec<u64>)>;
 
 /// Knobs of the detect → replan → swap loop.
 #[derive(Debug, Clone)]
@@ -222,8 +219,9 @@ pub trait Replanner: Send {
 /// See the crate docs for the swap protocol and the exactness guarantee.
 /// The wrapper retains the last pattern window of input events; on drift it
 /// builds a fresh engine from the replanner's new plan, replays the
-/// retained window into it, and suppresses replayed re-emissions through a
-/// signature dedup, so downstream consumers never see a duplicate or a gap.
+/// retained window into it, and suppresses replayed re-emissions through its
+/// [`SeenMatches`] memory, so downstream consumers never see a duplicate or
+/// a gap.
 pub struct AdaptiveEngine<R: Replanner> {
     inner: Box<dyn Engine>,
     replanner: R,
@@ -231,12 +229,9 @@ pub struct AdaptiveEngine<R: Replanner> {
     /// Window-bounded replay buffer: every event with
     /// `ts ≥ watermark − window`, in arrival order.
     retained: VecDeque<EventRef>,
-    /// Signatures of emitted matches, remembered for one window length
-    /// (everything a replay could re-emit), tagged with their max event ts.
-    /// An append-only deque — emissions are already in non-decreasing
-    /// watermark order — so normal operation pays one push per match; the
-    /// set a replay filters against is only materialized at swap time.
-    recent: VecDeque<(Timestamp, Sig)>,
+    /// Keys of emitted matches, remembered for one window length
+    /// (everything a replay could re-emit).
+    seen: SeenMatches,
     /// Whether the replanner's strategy consumes events (cached).
     consumes: bool,
     /// Serial numbers of events consumed by emitted matches, remembered
@@ -271,7 +266,7 @@ impl<R: Replanner> AdaptiveEngine<R> {
             replanner,
             monitor,
             retained: VecDeque::new(),
-            recent: VecDeque::new(),
+            seen: SeenMatches::new(window),
             consumes,
             consumed: HashMap::new(),
             window,
@@ -308,29 +303,35 @@ impl<R: Replanner> AdaptiveEngine<R> {
         self.retained.len()
     }
 
-    /// Records emissions (signature for future replay dedup; consumption
-    /// state for consuming strategies) and forwards them downstream. A
-    /// single engine never emits duplicates between swaps, so the normal
-    /// path only *appends* — membership is checked exclusively against the
-    /// swap-time snapshot in [`Self::swap`].
-    fn emit(&mut self, staged: Vec<Match>, out: &mut Vec<Match>) {
+    /// Forwards emissions downstream, dropping matches already emitted
+    /// (replayed re-detections after a swap) and recording the rest
+    /// (their key; consumption state for consuming strategies). Returns
+    /// how many matches were dropped as already emitted.
+    fn emit(&mut self, staged: Vec<Match>, out: &mut Vec<Match>) -> u64 {
+        let mut suppressed = 0;
         for m in staged {
+            let key = m.signature();
+            // A freshly swapped engine has no memory of what its
+            // predecessor consumed: drop emissions that would re-bind a
+            // consumed event, without remembering them as emitted.
+            if self.consumes && m.events().any(|e| self.consumed.contains_key(&e.seq)) {
+                suppressed += u64::from(self.seen.contains(&key));
+                continue;
+            }
+            if !self.seen.insert(key, m.max_ts()) {
+                suppressed += 1;
+                continue;
+            }
             if self.consumes {
-                // A freshly swapped engine has no memory of what its
-                // predecessor consumed; suppress emissions that would
-                // re-bind a consumed event and record the rest.
-                if m.events().any(|e| self.consumed.contains_key(&e.seq)) {
-                    continue;
-                }
                 for e in m.events() {
                     self.consumed.insert(e.seq, e.ts);
                 }
             }
-            self.recent.push_back((m.max_ts(), m.signature()));
             self.replanner.observe_match(&m);
             self.metrics.matches_emitted += 1;
             out.push(m);
         }
+        suppressed
     }
 
     /// Folds a retired engine's counters into the sequential accumulator:
@@ -413,26 +414,17 @@ impl<R: Replanner> AdaptiveEngine<R> {
         self.metrics.replayed_events += self.retained.len() as u64;
         self.metrics.plan_swaps += 1;
         self.events_since_swap = 0;
-        // Suppress replayed re-detections of matches already emitted
-        // pre-swap. For the exact strategies that is every replayed
-        // completion; emitting survivors keeps the wrapper conservative
+        // Replayed re-detections of matches already emitted pre-swap are
+        // suppressed. For the exact strategies that is every replayed
+        // completion; emitting the rest keeps the wrapper conservative
         // rather than silently dropping them.
-        let staged_count = staged.len();
-        let survivors: Vec<Match> = {
-            let seen: std::collections::HashSet<&Sig> =
-                self.recent.iter().map(|(_, sig)| sig).collect();
-            staged
-                .into_iter()
-                .filter(|m| !seen.contains(&m.signature()))
-                .collect()
-        };
+        let suppressed_matches = self.emit(staged, out);
         self.tracer.emit_with(|| TraceRecord::ReplayWindow {
             at_event: self.metrics.events_processed,
             replayed_events: self.retained.len() as u64,
             replay_ns,
-            suppressed_matches: (staged_count - survivors.len()) as u64,
+            suppressed_matches,
         });
-        self.emit(survivors, out);
         self.refresh_metrics();
     }
 
@@ -529,18 +521,13 @@ impl<R: Replanner> Engine for AdaptiveEngine<R> {
         while self.retained.front().is_some_and(|e| e.ts < keep_from) {
             self.retained.pop_front();
         }
-        // A replay can only re-emit matches whose events all lie in the
-        // retained window, so older signatures can never recur. Emissions
-        // are pushed in near-watermark order (deferred emissions lag by at
-        // most a window), so trimming the front is enough: a stale entry
-        // stuck behind a fresher one is over-retention, never a miss.
-        while self.recent.front().is_some_and(|(ts, _)| *ts < keep_from) {
-            self.recent.pop_front();
-        }
         self.metrics.record_retained(self.retained.len());
         let mut staged = Vec::new();
         self.inner.process(event, &mut staged);
         self.emit(staged, out);
+        // A replay can only re-emit matches whose events all lie in the
+        // retained window, so keys of older matches can never recur.
+        self.seen.expire(self.watermark);
         if self.consumes && self.metrics.events_processed.is_multiple_of(REFRESH_EVERY) {
             // Consumption marks on events older than the window can never
             // be re-bound by a replay.

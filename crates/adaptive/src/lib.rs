@@ -15,7 +15,9 @@
 //!    arrival rates + drift detection) and a **retained-event buffer**
 //!    holding exactly the last pattern window of the stream;
 //! 2. forwards the event to the active engine and routes its emissions
-//!    through a signature dedup keyed like the deterministic shard merge;
+//!    through a [`SeenMatches`](cep_core::matches::SeenMatches) memory of
+//!    already emitted [`MatchKey`](cep_core::matches::MatchKey)s — the
+//!    identity the registry union and the shard merge dedup by;
 //! 3. every `check_every` events, if the monitor reports drift, asks its
 //!    [`Replanner`] to rebuild the evaluation plan from the live rate
 //!    estimates. If the plan changed, the engine **hot-swaps**: a fresh
@@ -35,8 +37,8 @@
 //!   bounds the span), and the retained buffer holds every such event — the
 //!   new engine misses nothing;
 //! * matches the old engine already emitted are re-detected during replay
-//!   and suppressed by the dedup (signatures are remembered for one window
-//!   length, which covers everything a replay can re-emit);
+//!   and suppressed by the dedup (keys are remembered until their window
+//!   expires, which covers everything a replay can re-emit);
 //! * match *content* is plan-independent for the exact strategies
 //!   (the plan changes cost, never the result set — the paper's Section 3
 //!   semantics), so swapping plans mid-stream cannot change the output.

@@ -9,9 +9,9 @@ use crate::{
 use cep_core::compile::CompiledPattern;
 use cep_core::engine::{run_to_completion, Engine, EngineConfig, EngineFactory};
 use cep_core::event::{Event, TypeId};
-use cep_core::matches::{validate_match, Match};
+use cep_core::matches::{canonical_sort, keyed, validate_match, Match};
 use cep_core::naive::NaiveEngine;
-use cep_core::pattern::{Pattern, PatternBuilder};
+use cep_core::pattern::{Pattern, PatternBuilder, PatternExpr};
 use cep_core::plan::{OrderPlan, TreePlan};
 use cep_core::predicate::{CmpOp, Predicate};
 use cep_core::selection::SelectionStrategy;
@@ -153,9 +153,9 @@ impl Replanner for FlipFlop {
     }
 }
 
-/// Canonical ground-truth order shared with `cep_shard::canonical_sort`.
+/// Matches in the canonical merge order.
 fn canonical(mut matches: Vec<Match>) -> Vec<Match> {
-    matches.sort_by_cached_key(|m| (m.emitted_at, m.last_ts, m.signature()));
+    canonical_sort(&mut matches);
     matches
 }
 
@@ -715,6 +715,98 @@ fn factory_builds_independent_adaptive_engines() {
     assert_eq!(a.metrics().events_processed, 1);
     assert_eq!(b.metrics().events_processed, 0, "engines are independent");
     assert_eq!(a.name(), "adaptive");
+}
+
+/// A planner-backed replanner forced to swap at every replan attempt: the
+/// plans stay put while the swap, replay and dedup machinery runs.
+#[derive(Clone)]
+struct Forced(PlanReplanner);
+
+impl Replanner for Forced {
+    fn build(&self) -> Box<dyn Engine> {
+        self.0.build()
+    }
+
+    fn replan(&mut self, _rates: &MeasuredStats) -> bool {
+        true
+    }
+
+    fn consumes(&self) -> bool {
+        self.0.consumes()
+    }
+}
+
+/// Two-branch disjunctions: `OR(SEQ(a, b), SEQ(c, d))`, whose branches
+/// bind disjoint positions, and `SEQ(a, OR(NOT n1, NOT n2), b)`, whose
+/// two SEQ branches emit the same match whenever neither `n` intervenes.
+fn disjunctions(window: u64, strategy: SelectionStrategy) -> [Pattern; 2] {
+    let mut b = PatternBuilder::new(window);
+    b.strategy(strategy);
+    let [a, x, c, d] = [0, 1, 1, 2].map(|ty| b.event(t(ty), "e"));
+    let branches = [
+        PatternExpr::Seq(vec![b.expr(a), b.expr(x)]),
+        PatternExpr::Seq(vec![b.expr(c), b.expr(d)]),
+    ];
+    let disjoint = b.or_exprs(branches).unwrap();
+    let mut b = PatternBuilder::new(window);
+    b.strategy(strategy);
+    let [a, n1, n2, x] = [0, 3, 4, 2].map(|ty| b.event(t(ty), "e"));
+    let either = PatternExpr::Or(vec![b.not(n1), b.not(n2)]);
+    let exprs = [b.expr(a), either, b.expr(x)];
+    let overlapping = b.seq_exprs(exprs).unwrap();
+    [disjoint, overlapping]
+}
+
+#[test]
+fn forced_swaps_over_a_disjunction_are_exact() {
+    use cep_core::naive::union_of;
+    use cep_optimizer::TreeAlgorithm;
+    let stream = lcg_stream(400, 5, 0x0DD5);
+    let mut rates = MeasuredStats::default();
+    for ty in 0..5 {
+        rates.set_rate(t(ty), 0.4);
+    }
+    for strategy in [
+        SelectionStrategy::SkipTillAnyMatch,
+        SelectionStrategy::StrictContiguity,
+    ] {
+        for pattern in disjunctions(12, strategy) {
+            let branches = CompiledPattern::compile(&pattern).unwrap();
+            assert_eq!(branches.len(), 2);
+            let oracle = union_of(
+                branches
+                    .iter()
+                    .map(|cp| {
+                        let mut e = NaiveEngine::new(cp.clone(), EngineConfig::default());
+                        run_to_completion(&mut e, &stream, true).matches
+                    })
+                    .collect(),
+            );
+            for kind in [
+                PlanKind::Order(OrderAlgorithm::DpLd),
+                PlanKind::Tree(TreeAlgorithm::DpB),
+            ] {
+                let replanner = PlanReplanner::new(
+                    branches.iter().map(|cp| (cp.clone(), vec![])).collect(),
+                    &rates,
+                    Planner::default(),
+                    kind,
+                    EngineConfig::default(),
+                )
+                .unwrap();
+                let mut static_engine = replanner.build();
+                assert_eq!(static_engine.name(), "registry");
+                let expected = run_engine(static_engine.as_mut(), &stream);
+                let mut adaptive = AdaptiveEngine::new(Forced(replanner), 12, eager(50));
+                let got = run_engine(&mut adaptive, &stream);
+                let label = format!("{strategy}, {kind:?}, {pattern:?}");
+                assert!(adaptive.swaps() >= 2, "{label}: {} swaps", adaptive.swaps());
+                assert!(!expected.is_empty(), "{label}: fixture should match");
+                assert_eq!(got, expected, "{label}: forced swaps changed the output");
+                assert_eq!(keyed(&got), keyed(&oracle), "{label}: not the branch union");
+            }
+        }
+    }
 }
 
 proptest! {

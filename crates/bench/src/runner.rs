@@ -48,7 +48,7 @@ pub struct PlannedPattern {
     pub plan_time_s: f64,
     /// Summed plan cost across branches, under the planner's cost model.
     pub plan_cost: f64,
-    /// Pattern window (for multi-engine dedup).
+    /// Pattern window (bounds the branch union's match memory).
     pub window: u64,
 }
 
@@ -215,7 +215,7 @@ mod tests {
     }
 
     #[test]
-    fn disjunction_uses_multi_engine() {
+    fn disjunction_runs_as_registry_of_one() {
         let env = tiny_env();
         let set = env.pattern_set(PatternSetKind::Disjunction);
         let planned = plan_pattern(

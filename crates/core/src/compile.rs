@@ -123,8 +123,10 @@ impl CompiledPattern {
     ///
     /// # Errors
     /// Returns [`CepError::Pattern`] if DNF decomposition yields more than
-    /// one branch; use [`CompiledPattern::compile`] plus a multi-engine for
-    /// those.
+    /// one branch; use [`CompiledPattern::compile`] and run the branches as
+    /// a registry of one ([`QueryRegistry::of_query`]) for those.
+    ///
+    /// [`QueryRegistry::of_query`]: crate::registry::QueryRegistry::of_query
     pub fn compile_single(pattern: &Pattern) -> Result<CompiledPattern, CepError> {
         let mut branches = Self::compile(pattern)?;
         if branches.len() != 1 {

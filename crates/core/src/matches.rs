@@ -1,8 +1,10 @@
 //! Matches and partial-match bindings shared by all engines.
 
 use crate::compile::CompiledPattern;
-use crate::event::{EventRef, Timestamp};
+use crate::event::{window_expired, EventRef, Timestamp};
 use crate::selection::SelectionStrategy;
+use std::cmp::Ordering;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 
 /// The event(s) bound at one pattern position.
@@ -91,23 +93,176 @@ impl Match {
         self.bindings.iter().flat_map(|(_, b)| b.events())
     }
 
-    /// Canonical identity of the match: sorted `(position, sorted event
-    /// serial numbers)`. Two matches with equal signatures bind the same
-    /// events to the same positions. Used for result comparison in tests
-    /// and duplicate suppression across DNF branches.
-    pub fn signature(&self) -> Vec<(usize, Vec<u64>)> {
-        let mut sig: Vec<(usize, Vec<u64>)> = self
-            .bindings
-            .iter()
-            .map(|(pos, b)| {
-                let mut seqs: Vec<u64> = b.events().map(|e| e.seq).collect();
-                seqs.sort_unstable();
-                (*pos, seqs)
-            })
-            .collect();
-        sig.sort();
-        sig
+    /// Canonical identity of the match: which events are bound to which
+    /// positions (see [`MatchKey`]). Two matches with equal signatures bind
+    /// the same events to the same positions. Used for result comparison
+    /// in tests and for duplicate suppression wherever match streams merge.
+    pub fn signature(&self) -> MatchKey {
+        let len = self.bindings.iter().map(|(_, b)| 2 + b.len()).sum();
+        let mut key = Vec::with_capacity(len);
+        let mut push = |pos: usize, b: &Binding| {
+            key.push(pos as u64);
+            key.push(b.len() as u64);
+            let start = key.len();
+            key.extend(b.events().map(|e| e.seq));
+            key[start..].sort_unstable();
+        };
+        // Bindings come in element order, which is usually but not always
+        // position order.
+        if self.bindings.is_sorted_by_key(|(pos, _)| *pos) {
+            self.bindings.iter().for_each(|(pos, b)| push(*pos, b));
+        } else {
+            let mut by_pos: Vec<&(usize, Binding)> = self.bindings.iter().collect();
+            by_pos.sort_by_key(|(pos, _)| *pos);
+            by_pos.into_iter().for_each(|(pos, b)| push(*pos, b));
+        }
+        MatchKey(key.into_boxed_slice())
     }
+}
+
+/// The one match identity: which event serial numbers are bound at which
+/// pattern positions.
+///
+/// One flat, length-prefixed buffer: positions ascending, and for each the
+/// position, the number of bound events and their serials ascending. The
+/// counts keep distinct binding sets apart — `{0:[1], 2:[3]}` is
+/// `[0,1,1, 2,1,3]` while `{0:[1,2,3]}` is `[0,3,1,2,3]` — at one
+/// allocation per match. [`Debug`](fmt::Debug), [`iter`](MatchKey::iter)
+/// and by-value iteration present the nested `(position, serials)` form,
+/// and keys order exactly as that nested form does.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct MatchKey(Box<[u64]>);
+
+impl MatchKey {
+    /// `(position, ascending serials)` per bound position, positions
+    /// ascending.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &[u64])> {
+        let mut rest = &self.0[..];
+        std::iter::from_fn(move || {
+            let [pos, len, tail @ ..] = rest else {
+                return None;
+            };
+            let (seqs, tail) = tail.split_at(*len as usize);
+            rest = tail;
+            Some((*pos as usize, seqs))
+        })
+    }
+}
+
+impl IntoIterator for MatchKey {
+    type Item = (usize, Vec<u64>);
+    type IntoIter = std::vec::IntoIter<(usize, Vec<u64>)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        let nested: Vec<_> = self.iter().map(|(pos, s)| (pos, s.to_vec())).collect();
+        nested.into_iter()
+    }
+}
+
+impl Ord for MatchKey {
+    fn cmp(&self, other: &MatchKey) -> Ordering {
+        self.iter().cmp(other.iter())
+    }
+}
+
+impl PartialOrd for MatchKey {
+    fn partial_cmp(&self, other: &MatchKey) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl fmt::Debug for MatchKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The one first-sighting memory of match identities, for one window: each
+/// recorded [`MatchKey`] with its match's maximum event timestamp. A key
+/// is forgotten once [`window_expired`]`(max_ts, window, watermark)` holds
+/// for the watermark last passed to [`expire`](SeenMatches::expire). By
+/// then no branch or replay re-emits the match: a deferred emission is
+/// released by the first event past its window, before the key expires.
+#[derive(Debug)]
+pub struct SeenMatches {
+    window: u64,
+    keys: HashMap<MatchKey, Timestamp>,
+    watermark: Timestamp,
+    /// Watermark from which the next pass dropping expired keys runs.
+    next_pass: Timestamp,
+}
+
+impl SeenMatches {
+    /// An empty memory for matches of a pattern with `window`.
+    pub fn new(window: u64) -> SeenMatches {
+        SeenMatches {
+            window,
+            keys: HashMap::new(),
+            watermark: 0,
+            next_pass: 0,
+        }
+    }
+
+    /// Whether `key` was recorded and has not expired.
+    pub fn contains(&self, key: &MatchKey) -> bool {
+        self.keys
+            .get(key)
+            .is_some_and(|&ts| !window_expired(ts, self.window, self.watermark))
+    }
+
+    /// Records `key` for a match whose last event is at `max_ts`; returns
+    /// whether this is its first sighting (it was never recorded, or
+    /// has expired since).
+    pub fn insert(&mut self, key: MatchKey, max_ts: Timestamp) -> bool {
+        let (window, watermark) = (self.window, self.watermark);
+        match self.keys.entry(key) {
+            Entry::Occupied(e) if !window_expired(*e.get(), window, watermark) => false,
+            entry => {
+                entry.insert_entry(max_ts);
+                true
+            }
+        }
+    }
+
+    /// Advances the watermark to `watermark`, forgetting every key whose
+    /// window has expired. Expired keys are dropped by one pass per window
+    /// of watermark time, so each key is visited at most twice.
+    pub fn expire(&mut self, watermark: Timestamp) {
+        self.watermark = self.watermark.max(watermark);
+        if self.watermark < self.next_pass {
+            return;
+        }
+        let (window, watermark) = (self.window, self.watermark);
+        self.keys
+            .retain(|_, &mut ts| !window_expired(ts, window, watermark));
+        self.next_pass = watermark.saturating_add(window).saturating_add(1);
+    }
+}
+
+/// Sorts matches into the canonical deterministic order used wherever
+/// match streams merge: by emission watermark, then by the timestamp of
+/// the last contributing event, then by [`Match::signature`]. The key
+/// identifies a match completely, so the order is total — applying it to
+/// a single-threaded engine's output yields exactly what a sharded run
+/// returns whenever the query is partition-local.
+pub fn canonical_sort(matches: &mut [Match]) {
+    matches.sort_by_cached_key(|m| (m.emitted_at, m.last_ts, m.signature()));
+}
+
+/// Sorted match signatures — the set-identity reference of the tests.
+pub fn signatures(ms: &[Match]) -> Vec<MatchKey> {
+    let mut sigs: Vec<_> = ms.iter().map(Match::signature).collect();
+    sigs.sort();
+    sigs
+}
+
+/// Sorted `(signature, emitted_at)` pairs — the byte-identity reference:
+/// two engines agreeing here emit the same matches *at the same
+/// watermarks*.
+pub fn keyed(ms: &[Match]) -> Vec<(MatchKey, Timestamp)> {
+    let mut ks: Vec<_> = ms.iter().map(|m| (m.signature(), m.emitted_at)).collect();
+    ks.sort();
+    ks
 }
 
 impl fmt::Display for Match {
@@ -262,6 +417,7 @@ mod tests {
     use crate::pattern::PatternBuilder;
     use crate::predicate::{CmpOp, Predicate};
     use crate::value::Value;
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn ev(tid: u32, ts: u64, seq: u64, x: i64) -> EventRef {
@@ -356,7 +512,139 @@ mod tests {
             (1, Binding::One(ev(1, 2, 1, 9))),
         ]);
         assert_eq!(m1.signature(), m2.signature()); // same (pos, seq) shape
-        assert_eq!(m1.signature(), vec![(0, vec![0]), (1, vec![1])]);
+        assert_eq!(
+            m1.signature().into_iter().collect::<Vec<_>>(),
+            vec![(0, vec![0]), (1, vec![1])]
+        );
+    }
+
+    /// A match binding `(position, serials)` pairs; Kleene sets become
+    /// [`Binding::Many`].
+    fn bound(bindings: &[(usize, Vec<u64>)]) -> Match {
+        mk(bindings
+            .iter()
+            .map(|(pos, seqs)| {
+                let evs: Vec<EventRef> = seqs.iter().map(|&s| ev(0, s, s, 0)).collect();
+                let b = match evs.as_slice() {
+                    [one] => Binding::One(one.clone()),
+                    _ => Binding::Many(evs),
+                };
+                (*pos, b)
+            })
+            .collect())
+    }
+
+    #[test]
+    fn key_counts_separate_positions_from_serials() {
+        // Plain concatenation would give both [0, 1, 2, 3].
+        let split = bound(&[(0, vec![1]), (2, vec![3])]).signature();
+        let kleene = bound(&[(0, vec![1, 2, 3])]).signature();
+        assert_ne!(split, kleene);
+        assert_eq!(format!("{split:?}"), "[(0, [1]), (2, [3])]");
+        assert_eq!(format!("{kleene:?}"), "[(0, [1, 2, 3])]");
+    }
+
+    /// The nested form a key must agree with: positions ascending, each
+    /// with its serials ascending.
+    fn nested(bindings: &[(usize, Vec<u64>)]) -> Vec<(usize, Vec<u64>)> {
+        let mut n: Vec<(usize, Vec<u64>)> = bindings
+            .iter()
+            .map(|(pos, seqs)| {
+                let mut seqs = seqs.clone();
+                seqs.sort_unstable();
+                (*pos, seqs)
+            })
+            .collect();
+        n.sort();
+        n
+    }
+
+    /// Keeps the first binding drawn for each position, in reverse draw
+    /// order (so element order is not position order).
+    fn distinct_positions(raw: Vec<(usize, Vec<u64>)>) -> Vec<(usize, Vec<u64>)> {
+        let mut out: Vec<(usize, Vec<u64>)> = Vec::new();
+        for (pos, seqs) in raw {
+            if out.iter().all(|(p, _)| *p != pos) {
+                out.insert(0, (pos, seqs));
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn key_equality_and_order_follow_the_nested_form(
+            a in prop::collection::vec((0usize..4, prop::collection::vec(0u64..5, 1..=4)), 1..=3),
+            b in prop::collection::vec((0usize..4, prop::collection::vec(0u64..5, 1..=4)), 1..=3),
+        ) {
+            let (a, b) = (distinct_positions(a), distinct_positions(b));
+            let (ka, kb) = (bound(&a).signature(), bound(&b).signature());
+            prop_assert_eq!(ka == kb, nested(&a) == nested(&b));
+            prop_assert_eq!(ka.cmp(&kb), nested(&a).cmp(&nested(&b)));
+            let mut reordered = a.clone();
+            reordered.reverse();
+            for (_, seqs) in &mut reordered {
+                seqs.reverse();
+            }
+            prop_assert_eq!(&bound(&reordered).signature(), &ka);
+            prop_assert_eq!(ka.into_iter().collect::<Vec<_>>(), nested(&a));
+        }
+    }
+
+    fn key(serial: u64) -> MatchKey {
+        bound(&[(0, vec![serial])]).signature()
+    }
+
+    #[test]
+    fn seen_matches_keeps_a_key_until_its_window_expires() {
+        // A span equal to the window is kept, exactly as `window_expired`
+        // keeps it at every other site.
+        let mut seen = SeenMatches::new(5);
+        assert!(seen.insert(key(1), 10));
+        assert!(!seen.insert(key(1), 10), "a live repeat is rejected");
+        seen.expire(15);
+        assert!(seen.contains(&key(1)));
+        assert!(!seen.insert(key(1), 10));
+        seen.expire(16);
+        assert!(!seen.contains(&key(1)));
+        assert!(seen.insert(key(1), 10), "accepted again once expired");
+    }
+
+    #[test]
+    fn seen_matches_window_zero_forgets_once_the_watermark_moves_on() {
+        let mut seen = SeenMatches::new(0);
+        assert!(seen.insert(key(1), 10));
+        seen.expire(10);
+        assert!(!seen.insert(key(1), 10));
+        seen.expire(11);
+        assert!(seen.insert(key(1), 10));
+    }
+
+    #[test]
+    fn seen_matches_unbounded_window_never_forgets() {
+        let mut seen = SeenMatches::new(u64::MAX);
+        assert!(seen.insert(key(1), 0));
+        assert!(seen.insert(key(2), u64::MAX));
+        for watermark in [1, u64::MAX / 2, u64::MAX] {
+            seen.expire(watermark);
+            assert!(!seen.insert(key(1), 0));
+            assert!(!seen.insert(key(2), u64::MAX));
+        }
+        assert_eq!(seen.keys.len(), 2);
+    }
+
+    #[test]
+    fn seen_matches_drops_expired_keys_within_two_windows() {
+        let mut seen = SeenMatches::new(10);
+        for ts in 0..100 {
+            seen.insert(key(ts), ts);
+            seen.expire(ts);
+            assert!(seen.keys.len() <= 22, "{} keys at {ts}", seen.keys.len());
+        }
+        seen.expire(1_000);
+        assert!(seen.keys.is_empty());
     }
 
     #[test]

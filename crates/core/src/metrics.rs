@@ -211,7 +211,8 @@ impl EngineMetrics {
         self.fanout_emits += other.fanout_emits;
     }
 
-    /// Merges counters from another engine (used by multi-plan evaluation).
+    /// Merges counters from another engine into this view (a registry
+    /// sums its fragments' counters this way).
     pub fn absorb(&mut self, other: &EngineMetrics) {
         self.events_relevant += other.events_relevant;
         self.matches_emitted += other.matches_emitted;

@@ -12,10 +12,10 @@ use crate::buffer::TypeBuffers;
 use crate::compile::CompiledPattern;
 use crate::engine::{Engine, EngineConfig};
 use crate::event::{EventRef, Timestamp};
-use crate::matches::{validate_match, Binding, Match};
+use crate::matches::{validate_match, Binding, Match, MatchKey};
 use crate::metrics::EngineMetrics;
 use crate::negation::DeferredStore;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// The brute-force oracle engine.
 pub struct NaiveEngine {
@@ -229,6 +229,22 @@ impl Engine for NaiveEngine {
     fn name(&self) -> &'static str {
         "naive"
     }
+}
+
+/// The union of independent per-branch outputs — the reference a
+/// disjunctive query (or a registry query) is checked against: each match
+/// signature once, at its smallest `emitted_at`. Under
+/// [`keyed`](crate::matches::keyed) this is exactly the set a correct
+/// branch union emits.
+pub fn union_of(branch_outputs: Vec<Vec<Match>>) -> Vec<Match> {
+    let mut first: HashMap<MatchKey, Match> = HashMap::new();
+    for m in branch_outputs.into_iter().flatten() {
+        let kept = first.entry(m.signature()).or_insert_with(|| m.clone());
+        if m.emitted_at < kept.emitted_at {
+            *kept = m;
+        }
+    }
+    first.into_values().collect()
 }
 
 #[cfg(test)]

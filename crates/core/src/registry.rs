@@ -24,9 +24,9 @@
 //!   engine's watermark, which advances on every processed event, so
 //!   those fragments receive the full stream.
 //! * **Per-query fan-out dedup.** A query with multiple branches keeps
-//!   the first sighting of each match signature (branch order breaks
-//!   ties within one event) and forgets signatures once they fall out of
-//!   the query's window ([`window_expired`], checked every 256 events).
+//!   the first sighting of each match key (branch order breaks ties
+//!   within one event) in a [`SeenMatches`] memory, which forgets a key
+//!   once it falls out of the query's window.
 //!
 //! The registry is the one place that unions a pattern's branches (the
 //! paper's Section 5.4 evaluation of nested patterns): a disjunctive
@@ -46,8 +46,8 @@ use crate::compile::CompiledPattern;
 use crate::compiled::{fetch_program, shared_plan_cache, PredicateProgram, SharedPlanCache};
 use crate::engine::{Engine, EngineConfig};
 use crate::error::CepError;
-use crate::event::{window_expired, EventRef, Timestamp};
-use crate::matches::Match;
+use crate::event::{EventRef, Timestamp};
+use crate::matches::{Match, SeenMatches};
 use crate::metrics::EngineMetrics;
 use crate::pattern::Pattern;
 use cep_obs::{TraceRecord, Tracer};
@@ -130,9 +130,8 @@ struct QueryEntry {
     /// Fragment slot per DNF branch, in the pattern's branch order
     /// (duplicates allowed: identical branches subscribe twice).
     fragments: Vec<usize>,
-    window: u64,
-    /// Signature memory for multi-branch dedup (unused single-branch).
-    seen: HashMap<Vec<(usize, Vec<u64>)>, u64>,
+    /// Match memory for multi-branch dedup (unused single-branch).
+    seen: SeenMatches,
     /// Events offered to the registry while this query was live.
     events_processed: u64,
     /// Matches delivered to this query (post-dedup).
@@ -363,8 +362,7 @@ impl QueryRegistry {
             id,
             QueryEntry {
                 fragments,
-                window,
-                seen: HashMap::new(),
+                seen: SeenMatches::new(window),
                 events_processed: 0,
                 matches_emitted: 0,
             },
@@ -454,9 +452,9 @@ impl QueryRegistry {
     /// Delivers the fragments' staged matches to every subscribed query,
     /// in query-id then branch order. A multi-branch query keeps the first
     /// sighting of each signature; `watermark` is the current event's
-    /// timestamp (`None` at flush), against which signature memory is
-    /// pruned every 256 events. A fragment with a single subscriber hands
-    /// its matches over without cloning.
+    /// timestamp (`None` at flush), to which its memory then advances. A
+    /// fragment with a single subscriber hands its matches over without
+    /// cloning.
     fn fan_out(&mut self, watermark: Option<Timestamp>, mut emit: impl FnMut(QueryId, Match)) {
         let slots = &mut self.slots;
         for (&id, q) in self.queries.iter_mut() {
@@ -466,7 +464,7 @@ impl QueryRegistry {
                 let frag = slots[slot].as_mut().expect("live slot");
                 let sole = frag.subscribers == 1;
                 let mut first_sighting =
-                    |m: &Match| !union || q.seen.insert(m.signature(), m.max_ts()).is_none();
+                    |m: &Match| !union || q.seen.insert(m.signature(), m.max_ts());
                 if sole {
                     for m in frag.staged.drain(..) {
                         if first_sighting(&m) {
@@ -485,10 +483,8 @@ impl QueryRegistry {
             }
             if let Some(ts) = watermark {
                 q.events_processed += 1;
-                if union && q.events_processed.is_multiple_of(256) {
-                    let window = q.window;
-                    q.seen
-                        .retain(|_, &mut seen| !window_expired(seen, window, ts));
+                if union {
+                    q.seen.expire(ts);
                 }
             }
             q.matches_emitted += emitted;
@@ -847,7 +843,8 @@ mod tests {
     use super::*;
     use crate::engine::run_to_completion;
     use crate::event::{Event, TypeId};
-    use crate::naive::NaiveEngine;
+    use crate::matches::keyed;
+    use crate::naive::{union_of, NaiveEngine};
     use crate::pattern::PatternBuilder;
     use crate::predicate::{CmpOp, Predicate};
     use crate::stream::StreamBuilder;
@@ -917,27 +914,6 @@ mod tests {
             raw.push(((i % 5) as u32, ts, (i * 7) % 13 - 6));
         }
         stream(&raw)
-    }
-
-    type MatchKey = (Vec<(usize, Vec<u64>)>, u64);
-
-    fn keyed(ms: &[Match]) -> Vec<MatchKey> {
-        let mut ks: Vec<_> = ms.iter().map(|m| (m.signature(), m.emitted_at)).collect();
-        ks.sort();
-        ks
-    }
-
-    /// The union of independent per-branch outputs: each signature once,
-    /// at its smallest `emitted_at`.
-    fn union_of(branch_outputs: Vec<Vec<Match>>) -> Vec<Match> {
-        let mut first: HashMap<Vec<(usize, Vec<u64>)>, Match> = HashMap::new();
-        for m in branch_outputs.into_iter().flatten() {
-            let kept = first.entry(m.signature()).or_insert_with(|| m.clone());
-            if m.emitted_at < kept.emitted_at {
-                *kept = m;
-            }
-        }
-        first.into_values().collect()
     }
 
     /// Registry output per query must be byte-identical to the union of

@@ -68,7 +68,7 @@ mod tests {
     use cep_core::compile::CompiledPattern;
     use cep_core::engine::{run_to_completion, Engine, EngineConfig};
     use cep_core::event::{Event, TypeId};
-    use cep_core::matches::{validate_match, Match};
+    use cep_core::matches::{keyed, validate_match};
     use cep_core::naive::NaiveEngine;
     use cep_core::pattern::{Pattern, PatternBuilder};
     use cep_core::predicate::{CmpOp, Predicate};
@@ -90,16 +90,6 @@ mod tests {
             b.push(e);
         }
         b.build()
-    }
-
-    /// A match's byte-identity key: its signature paired with `emitted_at`.
-    type MatchKey = (Vec<(usize, Vec<u64>)>, u64);
-
-    /// Sorted `(signature, emitted_at)` pairs: the byte-identity key.
-    fn keyed(ms: &[Match]) -> Vec<MatchKey> {
-        let mut ks: Vec<_> = ms.iter().map(|m| (m.signature(), m.emitted_at)).collect();
-        ks.sort();
-        ks
     }
 
     fn assert_matches_oracle_under(pattern: &Pattern, events: Vec<Event>, cfg: EngineConfig) {

@@ -14,7 +14,7 @@
 use cep_core::compile::CompiledPattern;
 use cep_core::engine::{run_to_completion, EngineConfig};
 use cep_core::event::{Event, EventRef, TypeId};
-use cep_core::matches::Match;
+use cep_core::matches::keyed;
 use cep_core::naive::NaiveEngine;
 use cep_core::pattern::{Pattern, PatternBuilder};
 use cep_core::predicate::{CmpOp, Predicate};
@@ -22,16 +22,6 @@ use cep_core::stream::StreamBuilder;
 use cep_core::value::Value;
 use cep_delta::DeltaEngine;
 use proptest::prelude::*;
-
-/// A match's byte-identity key: its signature paired with `emitted_at`.
-type MatchKey = (Vec<(usize, Vec<u64>)>, u64);
-
-/// Sorted `(signature, emitted_at)` pairs: the byte-identity key.
-fn keyed(ms: &[Match]) -> Vec<MatchKey> {
-    let mut ks: Vec<_> = ms.iter().map(|m| (m.signature(), m.emitted_at)).collect();
-    ks.sort();
-    ks
-}
 
 /// Builds a tie-heavy stream: `dt` is taken modulo 3, so about a third of
 /// consecutive events share a timestamp.

@@ -34,7 +34,7 @@ mod tests {
     use cep_core::compile::CompiledPattern;
     use cep_core::engine::{run_to_completion, EngineConfig};
     use cep_core::event::{Event, TypeId};
-    use cep_core::matches::{validate_match, Match};
+    use cep_core::matches::{signatures, validate_match};
     use cep_core::naive::NaiveEngine;
     use cep_core::pattern::{Pattern, PatternBuilder};
     use cep_core::plan::OrderPlan;
@@ -57,12 +57,6 @@ mod tests {
             b.push(e);
         }
         b.build()
-    }
-
-    fn signatures(ms: &[Match]) -> Vec<Vec<(usize, Vec<u64>)>> {
-        let mut sigs: Vec<_> = ms.iter().map(|m| m.signature()).collect();
-        sigs.sort();
-        sigs
     }
 
     /// Runs the NFA under every possible plan order and asserts identical

@@ -34,7 +34,8 @@
 //!   high-rate side) or *replicated* (broadcast to every shard — the
 //!   low-rate side), so every match is complete on the shard its key
 //!   hashes to. Matches binding no partitioned event are detected by all
-//!   shards; the merge deduplicates them by signature, keeping the
+//!   shards; the merge deduplicates them by
+//!   [`MatchKey`](cep_core::matches::MatchKey), keeping the
 //!   canonically first copy ([`cep_core::metrics::EngineMetrics`] reports
 //!   the broadcast overhead as `replicated_events` and the suppressed
 //!   duplicates as `dedup_hits`).
@@ -89,10 +90,9 @@
 mod router;
 mod runtime;
 
+pub use cep_core::matches::canonical_sort;
 pub use router::{hash_value, RouteTarget, RoutingPolicy, ShardRouter};
-pub use runtime::{
-    canonical_sort, MultiQueryRunResult, ShardConfig, ShardStats, ShardedRunResult, ShardedRuntime,
-};
+pub use runtime::{MultiQueryRunResult, ShardConfig, ShardStats, ShardedRunResult, ShardedRuntime};
 
 #[cfg(test)]
 mod tests;

@@ -6,7 +6,7 @@ use cep_core::compile::CompiledPattern;
 use cep_core::engine::{Engine, EngineFactory};
 use cep_core::error::CepError;
 use cep_core::event::EventRef;
-use cep_core::matches::Match;
+use cep_core::matches::{canonical_sort, Match};
 use cep_core::metrics::EngineMetrics;
 use cep_core::registry::{QueryId, QueryRegistry, RegistrySpec};
 use cep_core::stream::EventStream;
@@ -665,15 +665,4 @@ fn route_and_feed(
     }
     drop(txs); // close the channels: workers flush and return
     replicated_extra
-}
-
-/// Sorts matches into the canonical deterministic order used to merge
-/// per-shard outputs: by emission watermark, then by the timestamp of the
-/// last contributing event, then by the bound `(position, serial numbers)`
-/// signature. The key identifies a match completely, so the order is total
-/// and independent of shard count — applying this sort to a
-/// single-threaded engine's output yields exactly what a sharded run
-/// returns whenever the query is partition-local.
-pub fn canonical_sort(matches: &mut [Match]) {
-    matches.sort_by_cached_key(|m| (m.emitted_at, m.last_ts, m.signature()));
 }

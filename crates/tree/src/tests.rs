@@ -4,7 +4,7 @@ use crate::TreeEngine;
 use cep_core::compile::CompiledPattern;
 use cep_core::engine::{run_to_completion, EngineConfig};
 use cep_core::event::{Event, TypeId};
-use cep_core::matches::{validate_match, Match};
+use cep_core::matches::{signatures, validate_match};
 use cep_core::naive::NaiveEngine;
 use cep_core::pattern::{Pattern, PatternBuilder};
 use cep_core::plan::{OrderPlan, TreeNode, TreePlan};
@@ -27,12 +27,6 @@ fn stream(events: Vec<Event>) -> Vec<cep_core::event::EventRef> {
         b.push(e);
     }
     b.build()
-}
-
-fn signatures(ms: &[Match]) -> Vec<Vec<(usize, Vec<u64>)>> {
-    let mut sigs: Vec<_> = ms.iter().map(|m| m.signature()).collect();
-    sigs.sort();
-    sigs
 }
 
 /// Every binary tree shape over every leaf permutation of `n` elements.

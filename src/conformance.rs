@@ -14,14 +14,15 @@
 //! sets. New backends get the full differential sweep by adding one entry
 //! to [`standard_backends`].
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use cep_core::compile::CompiledPattern;
 use cep_core::compiled::PredicateProgram;
 use cep_core::engine::{run_to_completion, Engine, EngineConfig};
 use cep_core::event::{Event, EventRef, TypeId};
-use cep_core::matches::{validate_match, Match};
+use cep_core::matches::validate_match;
+pub use cep_core::matches::{keyed, signatures};
+pub use cep_core::naive::union_of;
 use cep_core::naive::NaiveEngine;
 use cep_core::pattern::{Pattern, PatternBuilder, PatternExpr};
 use cep_core::plan::{OrderPlan, TreeNode, TreePlan};
@@ -146,39 +147,6 @@ pub fn build_stream(raw: &[(u32, u8, i8)]) -> Vec<EventRef> {
         sb.push(Event::new(TypeId(tid % 5), ts, vec![Value::Int(x as i64)]));
     }
     sb.build()
-}
-
-/// Sorted match signatures — the set-identity key.
-pub fn signatures(ms: &[Match]) -> Vec<Vec<(usize, Vec<u64>)>> {
-    let mut sigs: Vec<_> = ms.iter().map(|m| m.signature()).collect();
-    sigs.sort();
-    sigs
-}
-
-/// A match's byte-identity key: its signature paired with `emitted_at`.
-pub type MatchKey = (Vec<(usize, Vec<u64>)>, u64);
-
-/// Sorted `(signature, emitted_at)` pairs — the byte-identity key: two
-/// engines agreeing here emit the same matches *at the same watermarks*.
-pub fn keyed(ms: &[Match]) -> Vec<MatchKey> {
-    let mut ks: Vec<_> = ms.iter().map(|m| (m.signature(), m.emitted_at)).collect();
-    ks.sort();
-    ks
-}
-
-/// The union of independent per-branch outputs — the reference a
-/// disjunctive query (or a registry query) is checked against: each
-/// match signature once, at its smallest `emitted_at`. Under [`keyed`]
-/// this is exactly the set a correct branch union emits.
-pub fn union_of(branch_outputs: Vec<Vec<Match>>) -> Vec<Match> {
-    let mut first: HashMap<Vec<(usize, Vec<u64>)>, Match> = HashMap::new();
-    for m in branch_outputs.into_iter().flatten() {
-        let kept = first.entry(m.signature()).or_insert_with(|| m.clone());
-        if m.emitted_at < kept.emitted_at {
-            *kept = m;
-        }
-    }
-    first.into_values().collect()
 }
 
 /// Deterministic "random" permutation of `0..n` derived from a seed.

@@ -15,8 +15,8 @@ use cep::analyze::{analyze_branch, analyze_pattern, Code, Severity};
 use cep::core::compile::CompiledPattern;
 use cep::core::engine::{run_to_completion, EngineConfig};
 use cep::core::event::{Event, EventRef, TypeId};
-use cep::core::matches::Match;
-use cep::core::naive::NaiveEngine;
+use cep::core::matches::{signatures, MatchKey};
+use cep::core::naive::{union_of, NaiveEngine};
 use cep::core::pattern::{Pattern, PatternBuilder};
 use cep::core::predicate::{CmpOp, Operand, Predicate};
 use cep::core::schema::{Catalog, ValueKind};
@@ -67,21 +67,20 @@ fn seeded_stream(seed: u64) -> Vec<EventRef> {
     sb.build()
 }
 
-fn oracle_signatures(pattern: &Pattern, stream: &Vec<EventRef>) -> Vec<Vec<(usize, Vec<u64>)>> {
+fn oracle_signatures(pattern: &Pattern, stream: &Vec<EventRef>) -> Vec<MatchKey> {
     let branches = CompiledPattern::compile(pattern).expect("compilable pattern");
     let cfg = EngineConfig {
         max_kleene_events: 4,
         ..Default::default()
     };
-    let mut sigs: Vec<_> = Vec::new();
-    for cp in branches {
-        let mut oracle = NaiveEngine::new(cp, cfg.clone());
-        let matches: Vec<Match> = run_to_completion(&mut oracle, stream, true).matches;
-        sigs.extend(matches.iter().map(|m| m.signature()));
-    }
-    sigs.sort();
-    sigs.dedup();
-    sigs
+    let outputs = branches
+        .into_iter()
+        .map(|cp| {
+            let mut oracle = NaiveEngine::new(cp, cfg.clone());
+            run_to_completion(&mut oracle, stream, true).matches
+        })
+        .collect();
+    signatures(&union_of(outputs))
 }
 
 /// Asserts the analyzer's fatal-unsat verdict against `streams` seeded

@@ -4,7 +4,7 @@
 
 use cep::core::compile::CompiledPattern;
 use cep::core::engine::{run_to_completion, EngineConfig};
-use cep::core::matches::Match;
+use cep::core::matches::signatures;
 use cep::core::schema::Catalog;
 use cep::core::selection::SelectionStrategy;
 use cep::prelude::*;
@@ -15,12 +15,6 @@ fn setup(seed: u64) -> (Catalog, GeneratedStream) {
     let mut catalog = Catalog::new();
     let gen = StockStreamGenerator::generate(&config, &mut catalog).unwrap();
     (catalog, gen)
-}
-
-fn signatures(ms: &[Match]) -> Vec<Vec<(usize, Vec<u64>)>> {
-    let mut sigs: Vec<_> = ms.iter().map(|m| m.signature()).collect();
-    sigs.sort();
-    sigs
 }
 
 #[test]
@@ -92,7 +86,7 @@ fn disjunction_equals_union_of_branches() {
         &catalog,
     )
     .unwrap();
-    // Multi-engine result.
+    // Registry-of-one result.
     let mut engine = cep::engine(&pattern)
         .backend(Backend::Nfa(OrderAlgorithm::Greedy))
         .stats(&gen)

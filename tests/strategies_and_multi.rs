@@ -80,7 +80,11 @@ fn next_match_greedy_takes_earliest_pairs_in_order_plans() {
         NfaEngine::new(cp.clone(), OrderPlan::trivial(&cp), EngineConfig::default()).unwrap();
     let r = run_to_completion(&mut nfa, &s, true);
     assert_eq!(r.match_count, 2);
-    let sigs: Vec<_> = r.matches.iter().map(|m| m.signature()).collect();
+    let sigs: Vec<Vec<_>> = r
+        .matches
+        .iter()
+        .map(|m| m.signature().into_iter().collect())
+        .collect();
     assert!(sigs.contains(&vec![(0, vec![0]), (1, vec![2])]));
     assert!(sigs.contains(&vec![(0, vec![1]), (1, vec![3])]));
 }
@@ -113,7 +117,10 @@ fn next_match_under_negation_consumes_only_emitted() {
         NfaEngine::new(cp.clone(), OrderPlan::trivial(&cp), EngineConfig::default()).unwrap();
     let r = run_to_completion(&mut nfa, &s, true);
     assert_eq!(r.match_count, 1);
-    assert_eq!(r.matches[0].signature(), vec![(0, vec![4]), (2, vec![5])]);
+    assert_eq!(
+        r.matches[0].signature().into_iter().collect::<Vec<_>>(),
+        vec![(0, vec![4]), (2, vec![5])]
+    );
 }
 
 #[test]
@@ -249,7 +256,7 @@ fn kleene_under_contiguity_validates_exactly() {
         .collect();
     assert_eq!(expected.len(), 1);
     assert_eq!(
-        expected[0],
+        expected[0].clone().into_iter().collect::<Vec<_>>(),
         vec![(0, vec![0]), (1, vec![1, 2]), (2, vec![3])]
     );
     let mut nfa = NfaEngine::with_trivial_plan(cp.clone(), EngineConfig::default());
