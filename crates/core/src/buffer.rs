@@ -48,6 +48,16 @@ impl TypeBuffers {
         self.buffers.get(&type_id).into_iter().flatten()
     }
 
+    /// The smallest serial number still buffered (`None` when empty):
+    /// arrival order is serial order, so it is at one of the fronts.
+    pub fn min_seq(&self) -> Option<u64> {
+        self.buffers
+            .values()
+            .filter_map(|b| b.front())
+            .map(|e| e.seq)
+            .min()
+    }
+
     /// Total number of buffered events, for the memory metric.
     pub fn len(&self) -> usize {
         self.total

@@ -71,6 +71,35 @@ pub struct NegatedElement {
     pub after: Vec<usize>,
 }
 
+/// An equality join `elem.attr == other.other_attr` between two positive
+/// elements, extracted from a `==` predicate
+/// ([`Predicate::equi_join`]). Candidates for `elem` can be found by
+/// looking up the key of `other`'s bound value (see
+/// [`crate::value::index_key`]) instead of scanning.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EqJoin {
+    /// Element index on the written left side.
+    pub elem: usize,
+    /// Attribute of `elem`.
+    pub attr: usize,
+    /// Element index on the written right side.
+    pub other: usize,
+    /// Attribute of `other`.
+    pub other_attr: usize,
+}
+
+impl EqJoin {
+    /// The same join seen from `other`'s side.
+    pub fn flipped(self) -> EqJoin {
+        EqJoin {
+            elem: self.other,
+            attr: self.other_attr,
+            other: self.elem,
+            other_attr: self.attr,
+        }
+    }
+}
+
 /// One conjunctive branch of a pattern, ready for planning and evaluation.
 #[derive(Debug, Clone)]
 pub struct CompiledPattern {
@@ -381,6 +410,21 @@ impl CompiledPattern {
     pub fn uses_type(&self, type_id: TypeId) -> bool {
         self.elements.iter().any(|e| e.event_type == type_id)
             || self.negated.iter().any(|e| e.event_type == type_id)
+    }
+
+    /// The equality joins between two positive elements, in predicate
+    /// order. Joins touching a negated position are skipped: those are
+    /// enforced by the deferred-negation machinery, not by probes.
+    pub fn eq_joins(&self) -> impl Iterator<Item = EqJoin> + '_ {
+        self.predicates.iter().filter_map(|p| {
+            let ((pa, aa), (pb, ab)) = p.equi_join()?;
+            Some(EqJoin {
+                elem: self.elem_index(pa)?,
+                attr: aa,
+                other: self.elem_index(pb)?,
+                other_attr: ab,
+            })
+        })
     }
 
     /// Whether the pattern has Kleene elements.

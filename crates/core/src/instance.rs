@@ -514,6 +514,18 @@ pub fn retain_or_retire(
     }
 }
 
+/// Forgets the consumed serial numbers (skip-till-next-match) below the
+/// smallest serial the engine still holds: `held` yields the smallest
+/// serial of each of its buffers, stored instances and deferred matches.
+/// Serials grow with arrival, so an event below that bound is held
+/// nowhere and can never be bound again; its entry only costs memory.
+/// Every engine applies this one rule at its prune cadence, which bounds
+/// the set by the window's contents.
+pub fn forget_consumed(consumed: &mut HashSet<u64>, held: impl IntoIterator<Item = u64>) {
+    let min_held = held.into_iter().min().unwrap_or(u64::MAX);
+    consumed.retain(|&seq| seq >= min_held);
+}
+
 /// Exact contiguity validation at completion time (the incremental span
 /// check is only a feasibility filter).
 pub fn contiguity_ok(cp: &CompiledPattern, inst: &Instance) -> bool {

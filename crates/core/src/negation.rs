@@ -196,6 +196,17 @@ impl DeferredStore {
         }
     }
 
+    /// The smallest serial number bound by a live parked match (`None`
+    /// when none is parked).
+    pub fn min_seq(&self) -> Option<u64> {
+        self.parked
+            .iter()
+            .filter(|d| !d.dead)
+            .flat_map(|d| d.m.events())
+            .map(|e| e.seq)
+            .min()
+    }
+
     /// Number of parked matches (alive), for the memory metric.
     pub fn len(&self) -> usize {
         self.parked.iter().filter(|d| !d.dead).count()

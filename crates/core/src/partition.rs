@@ -47,7 +47,6 @@
 use crate::compile::CompiledPattern;
 use crate::error::CepError;
 use crate::event::TypeId;
-use crate::predicate::{CmpOp, Operand};
 use crate::stats::MeasuredStats;
 use crate::union_find::UnionFind;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -416,42 +415,23 @@ fn branch_graphs(branches: &[CompiledPattern]) -> Vec<BranchGraph> {
                         .map(|k| cp.n() + k)
                 })
             };
-            for p in &cp.predicates {
-                if p.op != CmpOp::Eq {
-                    continue;
-                }
-                let (
-                    Operand::Attr {
-                        position: pa,
-                        attr: aa,
-                    },
-                    Operand::Attr {
-                        position: pb,
-                        attr: ab,
-                    },
-                ) = (&p.left, &p.right)
-                else {
-                    continue;
-                };
-                if pa == pb {
-                    continue;
-                }
-                let (Some(sa), Some(sb)) = (slot_of(*pa), slot_of(*pb)) else {
+            for ((pa, aa), (pb, ab)) in cp.predicates.iter().filter_map(|p| p.equi_join()) {
+                let (Some(sa), Some(sb)) = (slot_of(pa), slot_of(pb)) else {
                     continue;
                 };
                 match (slot_is_negated(cp, sa), slot_is_negated(cp, sb)) {
                     (false, false) => {
-                        let na = g.node((sa, *aa));
-                        let nb = g.node((sb, *ab));
+                        let na = g.node((sa, aa));
+                        let nb = g.node((sb, ab));
                         g.union(na, nb);
                     }
                     (false, true) => {
-                        let na = g.node((sa, *aa));
-                        g.neg_links.entry((sb, *ab)).or_default().push(na);
+                        let na = g.node((sa, aa));
+                        g.neg_links.entry((sb, ab)).or_default().push(na);
                     }
                     (true, false) => {
-                        let nb = g.node((sb, *ab));
-                        g.neg_links.entry((sa, *aa)).or_default().push(nb);
+                        let nb = g.node((sb, ab));
+                        g.neg_links.entry((sa, aa)).or_default().push(nb);
                     }
                     (true, true) => {}
                 }
@@ -532,7 +512,7 @@ fn valid_for(
 mod tests {
     use super::*;
     use crate::pattern::PatternBuilder;
-    use crate::predicate::Predicate;
+    use crate::predicate::{CmpOp, Predicate};
 
     fn t(i: u32) -> TypeId {
         TypeId(i)

@@ -186,6 +186,27 @@ impl Predicate {
         self.left.position() == Some(position) || self.right.position() == Some(position)
     }
 
+    /// The two `(position, attr)` sides of an equality join `a.x == b.y`
+    /// between two distinct positions, in written order; `None` for every
+    /// other predicate. The one definition of "equi-join" that index
+    /// probes, keyed tree stores and partition analysis all read.
+    pub fn equi_join(&self) -> Option<((usize, usize), (usize, usize))> {
+        match (&self.left, self.op, &self.right) {
+            (
+                Operand::Attr {
+                    position: pa,
+                    attr: aa,
+                },
+                CmpOp::Eq,
+                Operand::Attr {
+                    position: pb,
+                    attr: ab,
+                },
+            ) if pa != pb => Some(((*pa, *aa), (*pb, *ab))),
+            _ => None,
+        }
+    }
+
     /// Evaluates the predicate with `lookup` resolving positions to events.
     ///
     /// Engines must only call this when every referenced position is bound;

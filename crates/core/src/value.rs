@@ -61,6 +61,45 @@ impl Value {
     }
 }
 
+/// Hashable canonical form of a [`Value`] for equality-join probes.
+///
+/// Numeric values hash by their `f64` image (with `-0.0` folded into
+/// `+0.0`) so `Int(1)` and `Float(1.0)` land in the same bucket, matching
+/// [`Value::partial_cmp_value`]'s cross-kind equality. `NaN` has no key at
+/// all — `==` never holds for it, so a value that is `NaN` is never stored
+/// under a key, and a probe *by* `NaN` finds nothing. Collisions (two
+/// large `Int`s sharing an `f64` image) are harmless: every candidate a
+/// key yields is re-checked by the full predicate evaluator, and no
+/// candidate the predicate accepts can be missed.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum IndexKey {
+    /// Canonicalized bit pattern of the value's `f64` image.
+    Num(u64),
+    /// Boolean values hash as themselves.
+    Bool(bool),
+    /// String values hash by content.
+    Str(Arc<str>),
+}
+
+/// The canonical equality key of `value`, or `None` when no value can ever
+/// compare `==` to it (`NaN`).
+pub fn index_key(value: &Value) -> Option<IndexKey> {
+    fn canon(f: f64) -> u64 {
+        if f == 0.0 {
+            0.0f64.to_bits()
+        } else {
+            f.to_bits()
+        }
+    }
+    match value {
+        Value::Int(i) => Some(IndexKey::Num(canon(*i as f64))),
+        Value::Float(f) if f.is_nan() => None,
+        Value::Float(f) => Some(IndexKey::Num(canon(*f))),
+        Value::Bool(b) => Some(IndexKey::Bool(*b)),
+        Value::Str(s) => Some(IndexKey::Str(s.clone())),
+    }
+}
+
 impl From<i64> for Value {
     fn from(v: i64) -> Self {
         Value::Int(v)

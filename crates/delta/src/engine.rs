@@ -1,74 +1,29 @@
 //! The delta-indexed evaluation engine.
 
-use crate::index::{index_key, ts_range, IndexKey, WindowIndex};
+use crate::index::{ts_range, WindowIndex};
 use cep_core::buffer::TypeBuffers;
-use cep_core::compile::CompiledPattern;
+use cep_core::compile::{CompiledPattern, EqJoin};
 use cep_core::compiled::PredicateProgram;
 use cep_core::engine::{Engine, EngineConfig};
 use cep_core::event::{EventRef, Timestamp};
-use cep_core::instance::{compatible_with, Instance};
+use cep_core::instance::{compatible_with, forget_consumed, Instance};
 use cep_core::matches::{validate_match, Match};
 use cep_core::metrics::EngineMetrics;
 use cep_core::negation::DeferredStore;
-use cep_core::predicate::{CmpOp, Operand};
+use cep_core::value::{index_key, IndexKey};
 use std::collections::HashSet;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// An equality join between two positive elements, extracted from a `==`
-/// predicate: candidates for the owning element can be found by probing
-/// the `(type, attr)` posting list with the key read from the partner's
-/// bound event (attribute `other_attr` of element `other`).
-#[derive(Debug, Clone)]
-struct EqJoin {
-    /// Partner element index.
-    other: usize,
-    /// Attribute of the owning element (the probe's posting-list side).
-    attr: usize,
-    /// Attribute of the partner element (the probe key's side).
-    other_attr: usize,
-}
-
-/// Equality joins per element of `cp` (symmetric: a `a.x == b.y`
-/// predicate yields one entry under `a` and one under `b`).
+/// Equality joins per element of `cp`, each seen from its owning element
+/// (`elem`): a `a.x == b.y` predicate yields one entry under `a` and its
+/// [`EqJoin::flipped`] twin under `b`.
 fn eq_joins_of(cp: &CompiledPattern) -> Vec<Vec<EqJoin>> {
     let mut joins = vec![Vec::new(); cp.n()];
-    for p in &cp.predicates {
-        if p.op != CmpOp::Eq {
-            continue;
-        }
-        let (
-            Operand::Attr {
-                position: pa,
-                attr: aa,
-            },
-            Operand::Attr {
-                position: pb,
-                attr: ab,
-            },
-        ) = (&p.left, &p.right)
-        else {
-            continue;
-        };
-        if pa == pb {
-            continue;
-        }
-        // Negated positions have no element index; their predicates are
-        // enforced by the deferred-negation machinery, not the index.
-        let (Some(i), Some(j)) = (cp.elem_index(*pa), cp.elem_index(*pb)) else {
-            continue;
-        };
-        joins[i].push(EqJoin {
-            other: j,
-            attr: *aa,
-            other_attr: *ab,
-        });
-        joins[j].push(EqJoin {
-            other: i,
-            attr: *ab,
-            other_attr: *aa,
-        });
+    for j in cp.eq_joins() {
+        joins[j.elem].push(j);
+        joins[j.other].push(j.flipped());
     }
     joins
 }
@@ -110,6 +65,7 @@ pub struct DeltaEngine {
     deferred: DeferredStore,
     consumed: HashSet<u64>,
     watermark: Timestamp,
+    events_since_prune: u64,
     metrics: EngineMetrics,
 }
 
@@ -153,6 +109,7 @@ impl DeltaEngine {
             deferred: DeferredStore::new(),
             consumed: HashSet::new(),
             watermark: 0,
+            events_since_prune: 0,
             metrics: EngineMetrics::new(),
         }
     }
@@ -496,6 +453,16 @@ impl Engine for DeltaEngine {
         let expired = self.index.expire(watermark, self.cp.window);
         self.metrics.delta_updates += expired;
         self.neg_buffers.prune(watermark, self.cp.window);
+        self.events_since_prune += 1;
+        if self.events_since_prune >= self.cfg.prune_every && !self.consumed.is_empty() {
+            self.events_since_prune = 0;
+            let held = [
+                self.index.min_seq(),
+                self.neg_buffers.min_seq(),
+                self.deferred.min_seq(),
+            ];
+            forget_consumed(&mut self.consumed, held.into_iter().flatten());
+        }
         if !self.cp.uses_type(event.type_id) {
             return;
         }

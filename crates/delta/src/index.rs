@@ -9,52 +9,8 @@
 //! the expiring event is always at the front of every list it is in.
 
 use cep_core::event::{window_expired, EventRef, Timestamp, TypeId};
-use cep_core::value::Value;
+pub use cep_core::value::{index_key, IndexKey};
 use std::collections::{HashMap, VecDeque};
-
-/// Hashable canonical form of a [`Value`] for equality-join probes.
-///
-/// Numeric values hash by their `f64` image (with `-0.0` folded into
-/// `+0.0`) so `Int(1)` and `Float(1.0)` land in the same bucket, matching
-/// [`cep_core::value::Value::partial_cmp_value`]'s cross-kind equality. `NaN` has
-/// no key at all — `==` never holds for it, so an event with a `NaN` join
-/// attribute is simply not indexed under that attribute, and a probe *by*
-/// `NaN` finds nothing. Collisions are harmless (probe results are
-/// re-checked by the full predicate evaluator); missed candidates are
-/// impossible by construction.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum IndexKey {
-    /// Canonicalized bit pattern of the value's `f64` image.
-    Num(u64),
-    /// Boolean values hash as themselves.
-    Bool(bool),
-    /// String values hash by content.
-    Str(std::sync::Arc<str>),
-}
-
-/// The canonical equality key of `value`, or `None` when no event can ever
-/// compare `==` to it (`NaN`).
-pub fn index_key(value: &Value) -> Option<IndexKey> {
-    fn canon(f: f64) -> u64 {
-        if f == 0.0 {
-            0.0f64.to_bits()
-        } else {
-            f.to_bits()
-        }
-    }
-    match value {
-        Value::Int(i) => Some(IndexKey::Num(canon(*i as f64))),
-        Value::Float(f) => {
-            if f.is_nan() {
-                None
-            } else {
-                Some(IndexKey::Num(canon(*f)))
-            }
-        }
-        Value::Bool(b) => Some(IndexKey::Bool(*b)),
-        Value::Str(s) => Some(IndexKey::Str(s.clone())),
-    }
-}
 
 /// Per-type windowed event store plus `(type, attr) → key → events`
 /// posting lists over the pattern's equality-join attributes.
@@ -171,6 +127,16 @@ impl WindowIndex {
         self.store.get(&ty).map_or(0, |d| d.len())
     }
 
+    /// The smallest live serial number (`None` when empty): arrival order
+    /// is serial order, so it is at one of the type fronts.
+    pub fn min_seq(&self) -> Option<u64> {
+        self.store
+            .values()
+            .filter_map(|d| d.front())
+            .map(|e| e.seq)
+            .min()
+    }
+
     /// Total live events across all types.
     pub fn len(&self) -> usize {
         self.total
@@ -204,6 +170,7 @@ fn slice_range(slice: &[EventRef], lo: Timestamp, hi: Timestamp) -> std::slice::
 mod tests {
     use super::*;
     use cep_core::event::Event;
+    use cep_core::value::Value;
 
     fn ev(tid: u32, ts: u64, seq: u64, x: i64) -> EventRef {
         let mut e = Event::new(TypeId(tid), ts, vec![Value::Int(x)]);

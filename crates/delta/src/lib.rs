@@ -11,7 +11,10 @@
 //! [`DeltaEngine`] stores none. Its only windowed state is a
 //! [`WindowIndex`]: one arrival-ordered deque per event type, plus
 //! `(type, attr) → key → events` posting lists over the equality-join
-//! attributes extracted from the compiled pattern's `==` predicates. Each
+//! attributes of the compiled pattern
+//! ([`CompiledPattern::eq_joins`](cep_core::compile::CompiledPattern::eq_joins)),
+//! keyed by [`cep_core::value::index_key`] — the same canonical equality
+//! key the tree engine's keyed sibling stores use. Each
 //! arriving event is one *delta* — an amortized-O(1) append per list —
 //! and each expiration is the inverse delta, popping the same entries
 //! back off the list fronts (arrival order is timestamp order, so the

@@ -18,7 +18,7 @@ use cep_core::engine::{Engine, EngineConfig};
 use cep_core::error::CepError;
 use cep_core::event::{EventRef, Timestamp};
 use cep_core::instance::{
-    compatible_with, contiguity_ok, retain_or_retire, Instance, InstanceArena,
+    compatible_with, contiguity_ok, forget_consumed, retain_or_retire, Instance, InstanceArena,
 };
 use cep_core::matches::Match;
 use cep_core::metrics::EngineMetrics;
@@ -372,12 +372,13 @@ impl NfaEngine {
         for state in &mut self.states {
             retain_or_retire(state, &mut self.arena, |i| !i.expired(watermark, window));
         }
-        if self.cp.strategy.consumes() {
-            // Consumed serial numbers carry no timestamp to expire them
-            // by; conservatively keep everything unless the set grows large.
-            if self.consumed.len() > 100_000 {
-                self.consumed.clear();
-            }
+        if !self.consumed.is_empty() {
+            let held = self.states.iter().flatten().map(|i| i.min_seq);
+            forget_consumed(
+                &mut self.consumed,
+                held.chain(self.buffers.min_seq())
+                    .chain(self.deferred.min_seq()),
+            );
         }
     }
 }

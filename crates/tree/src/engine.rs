@@ -7,22 +7,36 @@
 //! new instance is created at a node, it is combined with the instances
 //! stored at the *sibling* node, producing new instances at the parent —
 //! a symmetric-join discipline that counts every pair exactly once.
+//!
+//! The sibling store is not scanned whole when the parent node joins its
+//! children through an equality predicate. For each internal node the
+//! engine picks, once at construction, the first `==` predicate (in
+//! predicate order) between a non-Kleene element of the left subtree and
+//! a non-Kleene element of the right subtree. Both children then keep
+//! *keyed sibling stores* ([`NodeStore`]): instances are bucketed by the
+//! [`index_key`](cep_core::value::index_key) of their own side's
+//! attribute, and a new instance probes only the sibling bucket with its
+//! own key. Every candidate still passes the full merge check, so output
+//! is unchanged; the work per new instance follows the matching siblings
+//! rather than all stored ones — the `PM(L)·PM(R)·sel` of the paper's
+//! `Cost_tree` instead of `PM(L)·PM(R)`. Nodes without such a predicate,
+//! and Kleene leaves, keep one flat store.
 
+use crate::store::NodeStore;
 use cep_core::buffer::TypeBuffers;
 use cep_core::compile::CompiledPattern;
 use cep_core::compiled::PredicateProgram;
 use cep_core::engine::{Engine, EngineConfig};
 use cep_core::error::CepError;
-use cep_core::event::{EventRef, Timestamp};
+use cep_core::event::{EventRef, Timestamp, TypeId};
 use cep_core::instance::{
-    compatible_with, contiguity_ok, merge_compatible_with, retain_or_retire, Instance,
-    InstanceArena,
+    compatible_with, contiguity_ok, forget_consumed, merge_compatible_with, Instance, InstanceArena,
 };
 use cep_core::matches::Match;
 use cep_core::metrics::EngineMetrics;
 use cep_core::negation::DeferredStore;
 use cep_core::plan::{TreeNode, TreePlan};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// A flattened tree-plan node.
@@ -47,8 +61,10 @@ pub struct TreeEngine {
     program: Option<Arc<PredicateProgram>>,
     nodes: Vec<NodeSpec>,
     root: usize,
+    /// Leaf nodes per accepted event type.
+    leaves: HashMap<TypeId, Arc<[usize]>>,
     /// Instances stored at each node, within the window.
-    stores: Vec<Vec<Instance>>,
+    stores: Vec<NodeStore>,
     arena: InstanceArena,
     /// Buffered events of negated types (for negation checks only; positive
     /// events live in the leaf stores).
@@ -103,8 +119,21 @@ impl TreeEngine {
                 nodes[right].sibling = Some(left);
             }
         }
-        let stores = vec![Vec::new(); nodes.len()];
+        let mut leaves: HashMap<TypeId, Vec<usize>> = HashMap::new();
+        for (i, node) in nodes.iter().enumerate() {
+            if let NodeKind::Leaf { elem } = node.kind {
+                leaves
+                    .entry(cp.elements[elem].event_type)
+                    .or_default()
+                    .push(i);
+            }
+        }
+        let stores = store_keys(&cp, &nodes)
+            .into_iter()
+            .map(NodeStore::new)
+            .collect();
         Ok(TreeEngine {
+            leaves: leaves.into_iter().map(|(t, l)| (t, l.into())).collect(),
             cp,
             cfg,
             program,
@@ -129,7 +158,7 @@ impl TreeEngine {
     }
 
     fn live_instances(&self) -> usize {
-        self.stores.iter().map(|s| s.len()).sum::<usize>() + self.deferred.len()
+        self.stores.iter().map(NodeStore::len).sum::<usize>() + self.deferred.len()
     }
 
     /// The compiled predicate program driving this engine (`None` when
@@ -153,7 +182,7 @@ impl TreeEngine {
             }
             let consumed = &self.consumed;
             for store in &mut self.stores {
-                retain_or_retire(store, &mut self.arena, |i| !i.intersects(consumed));
+                store.retain(&mut self.arena, |i| !i.intersects(consumed));
             }
         }
         self.metrics.matches_emitted += 1;
@@ -213,9 +242,12 @@ impl TreeEngine {
         }
         let parent = self.nodes[node].parent.expect("non-root has a parent");
         let sibling = self.nodes[node].sibling.expect("non-root has a sibling");
-        self.stores[node].push(inst.clone());
+        let slot = self.stores[node].slot_of(&inst);
+        self.stores[node].insert(&slot, inst.clone());
         // Symmetric join with the sibling's current store: every (new, old)
         // pair is considered exactly once, at the newer side's creation.
+        // Siblings are keyed alike, so the instance's own slot names the
+        // sibling bucket that can hold its join partners.
         let merged: Vec<Instance> = {
             let cp = &self.cp;
             let prog = self.program.as_deref();
@@ -223,6 +255,7 @@ impl TreeEngine {
             let metrics = &mut self.metrics;
             let arena = &mut self.arena;
             self.stores[sibling]
+                .probe(&slot)
                 .iter()
                 .filter(|s| merge_compatible_with(cp, prog, &inst, s, consumed, metrics))
                 .map(|s| arena.merge(&inst, s))
@@ -262,6 +295,7 @@ impl TreeEngine {
                 let metrics = &mut self.metrics;
                 let arena = &mut self.arena;
                 self.stores[leaf]
+                    .flat()
                     .iter()
                     .filter(|i| {
                         event.seq >= i.kl_gate
@@ -287,12 +321,58 @@ impl TreeEngine {
         let window = self.cp.window;
         self.buffers.prune(watermark, window);
         for store in &mut self.stores {
-            retain_or_retire(store, &mut self.arena, |i| !i.expired(watermark, window));
+            store.retain(&mut self.arena, |i| !i.expired(watermark, window));
         }
-        if self.cp.strategy.consumes() && self.consumed.len() > 100_000 {
-            self.consumed.clear();
+        if !self.consumed.is_empty() {
+            let held = self
+                .stores
+                .iter()
+                .flat_map(NodeStore::iter)
+                .map(|i| i.min_seq);
+            forget_consumed(
+                &mut self.consumed,
+                held.chain(self.buffers.min_seq())
+                    .chain(self.deferred.min_seq()),
+            );
         }
     }
+}
+
+/// The key of every node's store: for each internal node, the first `==`
+/// predicate (in predicate order) joining a non-Kleene element of its
+/// left subtree to a non-Kleene element of its right subtree keys both
+/// children, each by its own side's `(element, attribute)`.
+fn store_keys(cp: &CompiledPattern, nodes: &[NodeSpec]) -> Vec<Option<(usize, usize)>> {
+    // Children precede their parent in `nodes` (post-order flattening).
+    let mut elems: Vec<Vec<usize>> = Vec::with_capacity(nodes.len());
+    let mut keys = vec![None; nodes.len()];
+    for node in nodes {
+        let (left, right) = match node.kind {
+            NodeKind::Leaf { elem } => {
+                elems.push(vec![elem]);
+                continue;
+            }
+            NodeKind::Internal { left, right } => (left, right),
+        };
+        let joinable =
+            |side: usize, elem: usize| !cp.elements[elem].kleene && elems[side].contains(&elem);
+        let join = cp.eq_joins().find_map(|j| {
+            if joinable(left, j.elem) && joinable(right, j.other) {
+                Some(j)
+            } else if joinable(right, j.elem) && joinable(left, j.other) {
+                Some(j.flipped())
+            } else {
+                None
+            }
+        });
+        if let Some(j) = join {
+            keys[left] = Some((j.elem, j.attr));
+            keys[right] = Some((j.other, j.other_attr));
+        }
+        let merged = [elems[left].as_slice(), elems[right].as_slice()].concat();
+        elems.push(merged);
+    }
+    keys
 }
 
 fn flatten(node: &TreeNode, out: &mut Vec<NodeSpec>) -> usize {
@@ -343,19 +423,10 @@ impl Engine for TreeEngine {
         }
         self.metrics.events_relevant += 1;
         // Route to every leaf accepting this type.
-        let leaves: Vec<usize> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, n)| match n.kind {
-                NodeKind::Leaf { elem } if self.cp.elements[elem].event_type == event.type_id => {
-                    Some(i)
-                }
-                _ => None,
-            })
-            .collect();
-        for leaf in leaves {
-            self.leaf_arrival(leaf, event, out);
+        if let Some(leaves) = self.leaves.get(&event.type_id).cloned() {
+            for &leaf in leaves.iter() {
+                self.leaf_arrival(leaf, event, out);
+            }
         }
         self.metrics
             .record_live(self.live_instances(), self.buffers.len());

@@ -354,3 +354,69 @@ fn bushy_tree_beats_left_deep_on_selective_outer_pair() {
         r1.metrics.partial_matches_created
     );
 }
+
+#[test]
+fn keyed_sibling_stores_bound_the_join_work() {
+    // SEQ(A a, B b) WHERE a.k == b.k over 16 keys: the root joins the two
+    // leaves through the equality, so each new instance may only meet the
+    // sibling instances sharing its key. Every predicate evaluation must
+    // therefore belong to an in-window, precedence-ordered (a, b) pair
+    // with equal keys; a flat store evaluates about 16 times as many. The
+    // key sits at a different attribute on each side (A: attribute 1,
+    // B: attribute 0), next to an unrelated attribute of the same domain.
+    let window = 40;
+    let mut b = PatternBuilder::new(window);
+    let a = b.event(t(0), "a");
+    let c = b.event(t(1), "b");
+    b.predicate(Predicate::attr_cmp(a.pos(), 1, CmpOp::Eq, c.pos(), 0));
+    let cp = CompiledPattern::compile_single(&b.seq([a, c]).unwrap()).unwrap();
+    let mut events = Vec::new();
+    let mut s = 0x9E37_79B9_7F4A_7C15u64;
+    for ts in 0..3000u64 {
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let ty = ((s >> 33) % 2) as u32;
+        let (key, other) = (
+            Value::Int(((s >> 40) % 16) as i64),
+            Value::Int(((s >> 50) % 16) as i64),
+        );
+        let attrs = if ty == 0 {
+            vec![other, key]
+        } else {
+            vec![key, other]
+        };
+        events.push(Event::new(t(ty), ts, attrs));
+    }
+    let pairs = events
+        .iter()
+        .filter(|e| e.type_id == t(1))
+        .map(|eb| {
+            events
+                .iter()
+                .filter(|ea| {
+                    ea.type_id == t(0)
+                        && ea.ts < eb.ts
+                        && eb.ts - ea.ts <= window
+                        && ea.attrs[1] == eb.attrs[0]
+                })
+                .count() as u64
+        })
+        .sum::<u64>();
+    assert!(pairs > 1000, "fixture should join often: {pairs}");
+    let s = stream(events);
+    for compiled in [false, true] {
+        let cfg = EngineConfig {
+            compiled_predicates: compiled,
+            ..EngineConfig::default()
+        };
+        let mut engine = TreeEngine::with_trivial_plan(cp.clone(), cfg);
+        let r = run_to_completion(&mut engine, &s, true);
+        assert_eq!(r.match_count as u64, pairs, "compiled={compiled}");
+        assert!(
+            r.metrics.predicate_evaluations <= pairs,
+            "compiled={compiled}: {} evaluations for {pairs} equal-key pairs",
+            r.metrics.predicate_evaluations
+        );
+    }
+}

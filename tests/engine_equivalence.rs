@@ -102,42 +102,53 @@ proptest! {
         check_equivalence_under(spec, raw, seed, SelectionStrategy::StrictContiguity);
     }
 
+    /// Equality-join sweep under all three exact strategies: two chained
+    /// `==` predicates `e_i == e_{i+1} == e_{i+2}` (so bushy tree plans key
+    /// internal nodes, not only leaf pairs), with an optional negated or
+    /// Kleene element that a join may touch. The narrow attribute domain
+    /// (-2..3) makes `==` hits likely, exercising the delta engine's
+    /// posting-list probes and the tree engine's keyed sibling stores.
     #[test]
     fn eq_join_patterns_equivalent(
         is_seq in any::<bool>(),
-        types in prop::collection::vec(0u32..3, 2..=3),
-        join_at in 0usize..3,
+        types in prop::collection::vec(0u32..3, 2..=4),
+        join_at in 0usize..4,
+        flag_at in 0usize..4,
+        flag in 0u8..3,
         raw in prop::collection::vec((0u32..4, 0u8..3, -2i8..3), 10..=35),
         seed in any::<u64>(),
         window in 4u64..12,
     ) {
-        // Equality-join sweep: the narrow attribute domain (-2..3) makes
-        // `==` hits likely, exercising the delta engine's posting-list
-        // probes rather than its scan fallback.
+        let n = types.len();
+        let mut elements: Vec<(u32, u8)> = types.iter().map(|&t| (t, 0)).collect();
+        elements[flag_at % n].1 = flag;
         let Some(mut pattern) = build_pattern(&PatternSpec {
             is_seq,
-            elements: types.iter().map(|&t| (t, 0)).collect(),
+            elements,
             predicates: vec![],
             window,
         }) else { return Ok(()); };
-        let n = types.len();
-        let (i, j) = (join_at % n, (join_at + 1) % n);
-        if i != j {
-            let prims = pattern.primitives();
-            let (pi, pj) = (prims[i].position, prims[j].position);
-            pattern
-                .predicates
-                .push(Predicate::attr_cmp(pi, 0, CmpOp::Eq, pj, 0));
+        let prims = pattern.primitives();
+        for k in 0..2 {
+            let (i, j) = ((join_at + k) % n, (join_at + k + 1) % n);
+            if i != j {
+                let (pi, pj) = (prims[i].position, prims[j].position);
+                pattern
+                    .predicates
+                    .push(Predicate::attr_cmp(pi, 0, CmpOp::Eq, pj, 0));
+            }
         }
-        let Ok(cp) = CompiledPattern::compile_single(&pattern) else { return Ok(()); };
         let stream = cep::conformance::build_stream(&raw);
-        check_stream_under(
-            &cp,
-            &stream,
-            &EngineConfig::default(),
-            seed,
-            &format!("{pattern}"),
-        );
+        let cfg = EngineConfig { max_kleene_events: 4, ..Default::default() };
+        for strategy in [
+            SelectionStrategy::SkipTillAnyMatch,
+            SelectionStrategy::StrictContiguity,
+            SelectionStrategy::PartitionContiguity,
+        ] {
+            pattern.strategy = strategy;
+            let Ok(cp) = CompiledPattern::compile_single(&pattern) else { return Ok(()); };
+            check_stream_under(&cp, &stream, &cfg, seed, &format!("{pattern} ({strategy:?})"));
+        }
     }
 }
 
@@ -258,6 +269,76 @@ fn unbounded_window_keeps_every_pair() {
     };
     assert_eq!(count(2_000), 20_100);
     assert_eq!(count(u64::MAX), 20_100);
+}
+
+/// Equality joins follow `Value` equality, not representation: `Int(1)`
+/// joins `Float(1.0)` and `-0.0` joins `0.0`, while `NaN` and a missing
+/// attribute join nothing — on every backend, and in the tree engine under
+/// random tree plans whose keyed sibling stores bucket by these values.
+#[test]
+fn eq_joins_follow_value_equality_on_every_plan() {
+    let mut b = PatternBuilder::new(100);
+    let a = b.event(TypeId(0), "a");
+    let bb = b.event(TypeId(1), "b");
+    let c = b.event(TypeId(2), "c");
+    b.predicate(Predicate::attr_cmp(a.pos(), 0, CmpOp::Eq, bb.pos(), 0));
+    b.predicate(Predicate::attr_cmp(bb.pos(), 0, CmpOp::Eq, c.pos(), 0));
+    let cp = CompiledPattern::compile_single(&b.seq([a, bb, c]).unwrap()).unwrap();
+    let triples: [[Option<Value>; 3]; 6] = [
+        [
+            Some(Value::Int(1)),
+            Some(Value::Float(1.0)),
+            Some(Value::Int(1)),
+        ],
+        [
+            Some(Value::Float(-0.0)),
+            Some(Value::Int(0)),
+            Some(Value::Float(0.0)),
+        ],
+        [
+            Some(Value::Float(f64::NAN)),
+            Some(Value::Float(f64::NAN)),
+            Some(Value::Float(f64::NAN)),
+        ],
+        [None, None, None],
+        [Some(Value::Float(f64::NAN)), None, Some(Value::Int(7))],
+        [Some(Value::Int(0)), Some(Value::Float(f64::NAN)), None],
+    ];
+    let mut sb = StreamBuilder::new();
+    let mut ts = 0;
+    for triple in triples {
+        for (ty, value) in triple.into_iter().enumerate() {
+            ts += 1;
+            sb.push(Event::new(
+                TypeId(ty as u32),
+                ts,
+                value.into_iter().collect(),
+            ));
+        }
+    }
+    let stream = sb.build();
+    let mut oracle = NaiveEngine::new(cp.clone(), EngineConfig::default());
+    let expected = signatures(&run_to_completion(&mut oracle, &stream, true).matches);
+    // Exactly the two cross-representation triples (serials 0-2 and 3-5).
+    assert_eq!(
+        expected
+            .iter()
+            .map(|k| k
+                .iter()
+                .flat_map(|(_, serials)| serials.to_vec())
+                .collect::<Vec<u64>>())
+            .collect::<Vec<_>>(),
+        vec![vec![0, 1, 2], vec![3, 4, 5]]
+    );
+    for seed in 0..24 {
+        check_stream_under(
+            &cp,
+            &stream,
+            &EngineConfig::default(),
+            seed,
+            "SEQ(a, b, c) a==b==c",
+        );
+    }
 }
 
 /// Regression fixture: the paper's four-camera pattern on a crafted stream,

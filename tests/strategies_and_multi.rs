@@ -11,6 +11,7 @@ use cep::core::predicate::{CmpOp, Predicate};
 use cep::core::selection::SelectionStrategy;
 use cep::core::stream::StreamBuilder;
 use cep::core::value::Value;
+use cep::delta::DeltaEngine;
 use cep::nfa::NfaEngine;
 use cep::tree::TreeEngine;
 
@@ -121,6 +122,39 @@ fn next_match_under_negation_consumes_only_emitted() {
         r.matches[0].signature().into_iter().collect::<Vec<_>>(),
         vec![(0, vec![4]), (2, vec![5])]
     );
+}
+
+#[test]
+fn next_match_never_rebinds_consumed_events_on_long_streams() {
+    // AND(A a, B b) WITHIN 100 under next-match over 60 000 (A, B) pairs,
+    // then three more A events whose window still holds consumed B
+    // events. Each pair matches once; the trailing A events find only
+    // consumed partners. An engine that forgets consumed serials by set
+    // size (rather than once nothing holds them) re-binds those B events.
+    let mut b = PatternBuilder::new(100);
+    b.strategy(SelectionStrategy::SkipTillNextMatch);
+    let a = b.event(t(0), "a");
+    let c = b.event(t(1), "b");
+    let cp = CompiledPattern::compile_single(&b.and([a, c]).unwrap()).unwrap();
+    let mut events = Vec::new();
+    for i in 0..60_000u64 {
+        events.push(ev(0, 2 * i, 0));
+        events.push(ev(1, 2 * i + 1, 0));
+    }
+    for k in 0..3u64 {
+        events.push(ev(0, 120_000 + 2 * k, 0));
+    }
+    let s = stream(events);
+    let cfg = EngineConfig::default();
+    let engines: Vec<Box<dyn Engine>> = vec![
+        Box::new(NfaEngine::with_trivial_plan(cp.clone(), cfg.clone())),
+        Box::new(TreeEngine::with_trivial_plan(cp.clone(), cfg.clone())),
+        Box::new(DeltaEngine::new(cp, cfg)),
+    ];
+    for mut engine in engines {
+        let r = run_to_completion(engine.as_mut(), &s, true);
+        assert_eq!(r.match_count, 60_000, "{}", engine.name());
+    }
 }
 
 #[test]
